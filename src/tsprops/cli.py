@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import fo_checks, identity_engine, nl_checks, pspace_search
+from . import identity_engine, pspace_search
 from .core import GeneratorSet
 from .crosscheck import exhaustive_generator_sets, run_sweep, seeded_instances
 from .errors import (
@@ -35,9 +35,9 @@ from .formats import (
     parse_generators,
     render_generators,
 )
-from .identities_enum import left_identities, right_identities
 from .identity_engine import parse_quasi_identity
 from .oracle import DEFAULT_CAP, definitional_check, enumerate_semigroup
+from .properties import REGISTRY
 from .reductions import (
     InputDigraph,
     dfa_emptiness_to_nilpotent,
@@ -69,74 +69,7 @@ def _default_cap() -> int:
     return cap
 
 
-def _identities_report(gens: GeneratorSet, side: str) -> PropertyReport:
-    rb = ReportBuilder(f"{side}-identities", gens, "structural")
-    pairs = left_identities(gens) if side == "left" else right_identities(gens)
-    witness = {
-        "kind": "identity-list",
-        "side": side,
-        "identities": [{"map": list(t.map), "word": list(word)}
-                       for t, word in pairs],
-    }
-    return rb.true(witness) if pairs else rb.false(witness)
-
-
-def _regular_structural(gens: GeneratorSet, cap: int) -> PropertyReport:
-    # A commutative semigroup is regular exactly when it is completely
-    # regular, which the graph route decides; otherwise fall back to the
-    # enumerating search.
-    if fo_checks.is_commutative(gens).verdict:
-        return nl_checks.is_regular_commutative(gens)
-    return pspace_search.is_regular_semigroup(gens, cap)
-
-
-_STRUCTURAL = {
-    "commutative": lambda gens, cap: fo_checks.is_commutative(gens),
-    "semilattice": lambda gens, cap: fo_checks.is_semilattice(gens),
-    "group": lambda gens, cap: fo_checks.is_group(gens),
-    "left-zero": lambda gens, cap: nl_checks.has_left_zero(gens),
-    "right-zero": lambda gens, cap: nl_checks.has_right_zero(gens),
-    "zero": lambda gens, cap: nl_checks.has_zero(gens),
-    "nilpotent": lambda gens, cap: nl_checks.is_nilpotent(gens),
-    "r-trivial": lambda gens, cap: nl_checks.is_r_trivial(gens),
-    "band": lambda gens, cap: identity_engine.is_band(gens),
-    "idempotents-commute":
-        lambda gens, cap: identity_engine.idempotents_commute(gens),
-    "idempotents-central":
-        lambda gens, cap: identity_engine.idempotents_central(gens),
-    "orthodox": lambda gens, cap: identity_engine.is_orthodox(gens),
-    "completely-regular":
-        lambda gens, cap: nl_checks.is_completely_regular(gens),
-    "clifford": lambda gens, cap: nl_checks.is_clifford(gens),
-    "regular": _regular_structural,
-    "inverse": lambda gens, cap: pspace_search.is_inverse_semigroup(gens, cap),
-    "left-identities": lambda gens, cap: _identities_report(gens, "left"),
-    "right-identities": lambda gens, cap: _identities_report(gens, "right"),
-}
-
-_ORACLE_KEYS = {
-    "commutative": "commutative",
-    "semilattice": "semilattice",
-    "group": "group",
-    "left-zero": "left_zero_exists",
-    "right-zero": "right_zero_exists",
-    "zero": "zero_exists",
-    "nilpotent": "nilpotent",
-    "r-trivial": "r_trivial",
-    "band": "band",
-    "idempotents-commute": "idempotents_commute",
-    "idempotents-central": "idempotents_central",
-    "orthodox": "orthodox",
-    "completely-regular": "completely_regular",
-    "clifford": "clifford",
-    "regular": "regular",
-    "inverse": "inverse_semigroup",
-    "left-identities": "left_identities",
-    "right-identities": "right_identities",
-    "aperiodic": "aperiodic",
-}
-
-KNOWN_PROPERTIES = tuple(sorted(_ORACLE_KEYS))
+KNOWN_PROPERTIES = tuple(sorted(REGISTRY))
 
 
 def _print_report(report: PropertyReport, as_json: bool):
@@ -166,14 +99,14 @@ def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     except EnumerationCapExceeded as exc:
         rb = ReportBuilder(prop, gens, "oracle")
         return rb.undecided({"kind": "enumeration-cap", "cap": exc.cap})
-    report = definitional_check(table, _ORACLE_KEYS[prop])
+    report = definitional_check(table, REGISTRY[prop].oracle_key)
     # Report under the command-line property name, not the oracle's key.
     return dataclasses.replace(report, property=prop)
 
 
 def _structural_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     try:
-        return _STRUCTURAL[prop](gens, cap)
+        return REGISTRY[prop].structural(gens, cap)
     except EnumerationCapExceeded as exc:
         rb = ReportBuilder(prop, gens, "structural")
         return rb.undecided({"kind": "enumeration-cap", "cap": exc.cap})
@@ -194,7 +127,8 @@ def cmd_check(args) -> int:
         print(f"error: unknown property {prop!r}; known: "
               f"{', '.join(KNOWN_PROPERTIES)}", file=sys.stderr)
         return EXIT_UNKNOWN_PROPERTY
-    if args.engine in ("structural", "both") and prop not in _STRUCTURAL:
+    if (args.engine in ("structural", "both")
+            and REGISTRY[prop].structural is None):
         print(f"error: property {prop!r} has no structural checker; "
               "run it with --engine oracle", file=sys.stderr)
         return EXIT_UNKNOWN_PROPERTY
@@ -455,7 +389,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatchError
 
+# Element cap for the enumerating searches (oracle and pspace_search).
+DEFAULT_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class Transformation:

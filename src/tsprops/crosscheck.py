@@ -13,45 +13,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from . import fo_checks, identity_engine, nl_checks
 from .core import GeneratorSet
 from .formats import instance_digest, render_generators
-from .identities_enum import left_identities, right_identities
 from .oracle import (
     DEFAULT_CAP,
     ElementTable,
     definitional_check,
     enumerate_semigroup,
-    left_identity_indices,
-    right_identity_indices,
 )
+from .properties import REGISTRY
 from .report import PropertyReport
-
-# (cli name, structural checker, oracle branch) — the paired dual routes.
-PROPERTY_PAIRS: tuple[tuple[str, Callable[[GeneratorSet], PropertyReport], str], ...] = (
-    ("commutative", fo_checks.is_commutative, "commutative"),
-    ("semilattice", fo_checks.is_semilattice, "semilattice"),
-    ("group", fo_checks.is_group, "group"),
-    ("left-zero", nl_checks.has_left_zero, "left_zero_exists"),
-    ("right-zero", nl_checks.has_right_zero, "right_zero_exists"),
-    ("zero", nl_checks.has_zero, "zero_exists"),
-    ("nilpotent", nl_checks.is_nilpotent, "nilpotent"),
-    ("r-trivial", nl_checks.is_r_trivial, "r_trivial"),
-    ("band", identity_engine.is_band, "band"),
-    ("idempotents-commute", identity_engine.idempotents_commute,
-     "idempotents_commute"),
-    ("idempotents-central", identity_engine.idempotents_central,
-     "idempotents_central"),
-    ("orthodox", identity_engine.is_orthodox, "orthodox"),
-    ("completely-regular", nl_checks.is_completely_regular,
-     "completely_regular"),
-    ("clifford", nl_checks.is_clifford, "clifford"),
-)
-
-PAIRED_PROPERTIES = tuple(name for name, _, _ in PROPERTY_PAIRS) + (
-    "left-identities", "right-identities")
 
 
 @dataclass
@@ -117,35 +90,30 @@ def check_instance(gens: GeneratorSet,
     result = InstanceResult(gens=gens, digest=instance_digest(gens),
                             element_count=len(table), verdicts={})
 
-    for name, structural, oracle_key in PROPERTY_PAIRS:
-        if wanted is not None and name not in wanted:
+    for name, (structural, oracle_key) in REGISTRY.items():
+        if structural is None or (wanted is not None and name not in wanted):
             continue
-        s_report = structural(gens)
+        s_report = structural(gens, cap)
         o_report = definitional_check(table, oracle_key)
         result.verdicts[name] = {
             "structural": s_report.verdict.value,
             "oracle": o_report.verdict.value,
         }
-        if s_report.verdict.value != o_report.verdict.value:
+        if (s_report.verdict.value != o_report.verdict.value
+                or _identity_maps(s_report) != _identity_maps(o_report)):
             result.mismatches.append(name)
         if collect_reports:
             result.reports.extend((s_report, o_report))
 
-    for name, structural_list, oracle_list in (
-            ("left-identities", left_identities, left_identity_indices),
-            ("right-identities", right_identities, right_identity_indices)):
-        if wanted is not None and name not in wanted:
-            continue
-        ours = {t.map for t, _ in structural_list(gens)}
-        theirs = {tuple(table.element(i).map) for i in oracle_list(table)}
-        result.verdicts[name] = {
-            "structural": "TRUE" if ours else "FALSE",
-            "oracle": "TRUE" if theirs else "FALSE",
-        }
-        if ours != theirs:
-            result.mismatches.append(name)
-
     return result
+
+
+def _identity_maps(report: PropertyReport) -> set[tuple[int, ...]] | None:
+    """The maps of an identity-list witness as a set; None for other kinds."""
+    witness = report.witness
+    if witness is None or witness.get("kind") != "identity-list":
+        return None
+    return {tuple(entry["map"]) for entry in witness["identities"]}
 
 
 def run_sweep(instances: Iterable[GeneratorSet],

@@ -18,11 +18,9 @@ from math import lcm
 
 import numpy as np
 
-from .core import GeneratorSet, Transformation
+from .core import DEFAULT_CAP, GeneratorSet, Transformation
 from .errors import EnumerationCapExceeded, StateBudgetExceeded, UnknownPropertyError
 from .report import PropertyReport, ReportBuilder, Verdict
-
-DEFAULT_CAP = 200_000
 
 
 def _compose_rows(first: np.ndarray, then: np.ndarray) -> np.ndarray:

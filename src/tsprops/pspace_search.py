@@ -12,12 +12,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from .core import (GeneratorSet, Transformation, compose,
+from .core import (DEFAULT_CAP, GeneratorSet, Transformation, compose,
                    idempotent_power_exponent, power)
 from .errors import EnumerationCapExceeded
 from .report import PropertyReport, ReportBuilder
-
-DEFAULT_CAP = 200_000
 
 
 def iter_elements(gens: GeneratorSet,

@@ -76,8 +76,11 @@ def dfa_emptiness_to_zero(dfa: DFA) -> GeneratorSet:
 
     Letters keep their action and fix the extra point; `reset` sends every
     state to the initial state; `sink` sends final states and the extra point
-    to the extra point, fixing the rest.  Moreover a left zero, a right zero,
-    and a zero are all equivalent for the output.
+    to the extra point, fixing the rest.  Given at least one final state, a
+    zero, a right zero and a nonempty language are all equivalent for the
+    output.  A left zero is not: it also appears when every letter fixes the
+    initial state, since `reset` is then a left zero even when the language
+    is empty and no zero exists.
 
     The guarantee needs at least one final state: with none at all, `sink`
     degenerates to the identity, and when every letter also fixes the initial

@@ -11,6 +11,7 @@ from tsprops import cli
 from tsprops.cli import main
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.formats import parse_generators, render_dfa, render_digraph, render_generators
+from tsprops.properties import REGISTRY
 from tsprops.reductions import DFA
 from tsprops.report import ReportBuilder
 
@@ -70,6 +71,28 @@ def test_check_json_reports_validate(tmp_path, capsys, schema):
     assert combined["oracle"]["property"] == "r-trivial"  # cli name, not key
 
 
+@pytest.mark.parametrize("prop", sorted(REGISTRY))
+def test_check_every_property_both_engines(tmp_path, capsys, schema, prop):
+    path = gen_file(tmp_path, "mixed.txt", (2, 1, 3), (1, 1, 3))
+    if REGISTRY[prop].structural is None:
+        code = main(["check", path, "--property", prop,
+                     "--engine", "oracle", "--json"])
+        assert code in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, schema)
+        assert report["property"] == prop
+        return
+    code = main(["check", path, "--property", prop, "--engine", "both",
+                 "--json"])
+    assert code in (0, 1)
+    combined = json.loads(capsys.readouterr().out)
+    assert combined["agree"] is True
+    for engine in ("structural", "oracle"):
+        jsonschema.validate(combined[engine], schema)
+        assert combined[engine]["property"] == prop
+        assert combined[engine]["engine"] == engine
+
+
 def test_check_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3\nnot a map line\n")
@@ -121,7 +144,8 @@ def test_check_engine_disagreement_exit5(tmp_path, capsys, monkeypatch):
     def liar(gens, cap):
         return ReportBuilder("zero", gens, "structural").true(None)
 
-    monkeypatch.setitem(cli._STRUCTURAL, "zero", liar)
+    monkeypatch.setitem(REGISTRY, "zero",
+                        REGISTRY["zero"]._replace(structural=liar))
     sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
     assert main(["check", sigma, "--property", "zero",
                  "--engine", "both"]) == 5

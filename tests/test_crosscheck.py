@@ -1,17 +1,19 @@
+import dataclasses
 import json
 
-from tsprops import crosscheck
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.crosscheck import (
-    PAIRED_PROPERTIES,
-    PROPERTY_PAIRS,
     all_maps,
     check_instance,
     exhaustive_generator_sets,
     run_sweep,
     seeded_instances,
 )
+from tsprops.properties import REGISTRY
 from tsprops.report import ReportBuilder
+
+PAIRED_PROPERTIES = tuple(name for name, routes in REGISTRY.items()
+                          if routes.structural is not None)
 
 
 def gen_set(*maps):
@@ -55,13 +57,14 @@ def test_check_instance_known_agreement():
     assert res.ok and res.mismatches == []
     assert res.element_count == 3
     assert set(res.verdicts) == set(PAIRED_PROPERTIES)
+    assert {"regular", "inverse"} <= set(res.verdicts)
     assert res.verdicts["group"] == {"structural": "TRUE", "oracle": "TRUE"}
     assert res.verdicts["commutative"]["oracle"] == "TRUE"
     assert res.verdicts["nilpotent"]["structural"] == "FALSE"
     assert res.reports == []  # not collected unless asked
 
     collected = check_instance(gen_set((2, 3, 1)), collect_reports=True)
-    assert len(collected.reports) == 2 * len(PROPERTY_PAIRS)
+    assert len(collected.reports) == 2 * len(PAIRED_PROPERTIES)
     engines = {r.engine for r in collected.reports}
     assert engines == {"structural", "oracle"}
 
@@ -73,14 +76,13 @@ def test_check_instance_property_filter():
 
 
 def test_check_instance_flags_engine_disagreement(monkeypatch):
-    def liar(gens):
+    def liar(gens, cap):
         rb = ReportBuilder("commutative", gens, "structural")
         return rb.false({"kind": "non-commuting", "first": 1, "second": 1,
                          "point": 1, "point_images": [1, 1]})
 
-    patched = tuple((n, liar, o) if n == "commutative" else (n, s, o)
-                    for n, s, o in PROPERTY_PAIRS)
-    monkeypatch.setattr(crosscheck, "PROPERTY_PAIRS", patched)
+    monkeypatch.setitem(REGISTRY, "commutative",
+                        REGISTRY["commutative"]._replace(structural=liar))
     res = check_instance(gen_set((2, 3, 1)))
     assert not res.ok
     assert res.mismatches == ["commutative"]
@@ -92,12 +94,18 @@ def test_identity_sets_compared_as_sets_not_booleans(monkeypatch):
     consts = gen_set((1, 1, 1), (2, 2, 2))
     assert check_instance(consts).ok
 
-    real = crosscheck.left_identities
+    real = REGISTRY["left-identities"].structural
 
-    def partial(gens):
-        return real(gens)[:1]  # drop one identity; verdict bool is unchanged
+    def partial(gens, cap):
+        # drop one identity; the verdict is unchanged
+        report = real(gens, cap)
+        witness = dict(report.witness,
+                       identities=report.witness["identities"][:1])
+        return dataclasses.replace(report, witness=witness)
 
-    monkeypatch.setattr(crosscheck, "left_identities", partial)
+    monkeypatch.setitem(REGISTRY, "left-identities",
+                        REGISTRY["left-identities"]._replace(
+                            structural=partial))
     res = check_instance(consts)
     assert "left-identities" in res.mismatches
     # both engines still report TRUE: only the set comparison catches the lie
@@ -120,13 +128,12 @@ def test_run_sweep_summary_shape_and_determinism():
 
 
 def test_run_sweep_records_mismatch_details(monkeypatch):
-    def liar(gens):
+    def liar(gens, cap):
         rb = ReportBuilder("zero", gens, "structural")
         return rb.true(None)
 
-    patched = tuple((n, liar, o) if n == "zero" else (n, s, o)
-                    for n, s, o in PROPERTY_PAIRS)
-    monkeypatch.setattr(crosscheck, "PROPERTY_PAIRS", patched)
+    monkeypatch.setitem(REGISTRY, "zero",
+                        REGISTRY["zero"]._replace(structural=liar))
     summary = run_sweep([gen_set((2, 3, 1))])
     assert summary["disagreements"] == 1
     rec = summary["mismatches"][0]
