@@ -1,21 +1,94 @@
-"""Witness search for regularizers, weak inverses, and inverses.
+"""Regularity of S, and witness search for regularizers, weak inverses and
+inverses.
 
-The search walks the semigroup's elements in canonical order (breadth-first
-by word length, then lexicographically by generator index) and returns the
-first element satisfying the defining equation.  On instances whose element
-count exceeds the cap the search is honest about giving up: callers receive
-an UNDECIDED outcome instead of a guess.
+Every search here walks S through one enumerator: a breadth-first search
+over raw map tuples in canonical order (by word length, then
+lexicographically by generator index) that keeps each element's BFS parent
+and last letter, so a word is rebuilt only for an element that is reported.
+On instances whose element count exceeds the cap the search is honest about
+giving up: callers receive an UNDECIDED outcome instead of a guess.
+
+Deciding whether an element is regular is PSPACE-complete, so the structural
+``regular`` route still enumerates S up to the cap.  It does not try every t
+for every s, though: it tests each (kernel, image-component) class once
+against the orbit of images under right multiplication (``image_orbit``),
+which is tiny next to S (T6 has 63 images and 46 656 elements).  See Linton,
+Pfeiffer, Robertson and Ruškuc, "Groups and actions in transformation
+semigroups" (Math. Z. 1998), and East, Egri-Nagy, Mitchell and Péresse,
+"Computing finite semigroups" (J. Symbolic Comput. 2019).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import (DEFAULT_CAP, GeneratorSet, Transformation, compose,
+from .core import (DEFAULT_CAP, GeneratorSet, Transformation,
                    idempotent_power_exponent, power)
-from .errors import EnumerationCapExceeded
+from .errors import DegreeMismatchError, EnumerationCapExceeded
+from .image_orbit import image_orbit
 from .report import PropertyReport, ReportBuilder
+
+Map = tuple[int, ...]
+
+
+class _CanonicalBFS:
+    """S as raw map tuples in canonical order.
+
+    Iterating yields each new map once, in canonical order, and raises
+    EnumerationCapExceeded as soon as more than ``cap`` distinct maps
+    appear.  The i-th map yielded is ``maps[i]``; ``parent[i]`` is the index
+    of the map it was reached from (-1 for a generator) and ``letter[i]``
+    the 1-indexed generator that reached it.
+    """
+
+    def __init__(self, gens: GeneratorSet, cap: int):
+        self.gens = gens
+        self.cap = cap
+        self.maps: list[Map] = []
+        self.parent: list[int] = []
+        self.letter: list[int] = []
+
+    def __iter__(self) -> Iterator[Map]:
+        maps, parent, letter, cap = self.maps, self.parent, self.letter, self.cap
+        seen: set[Map] = set()
+        for i, g in enumerate(self.gens, start=1):
+            if g.map not in seen:
+                if len(seen) >= cap:
+                    raise EnumerationCapExceeded(cap)
+                seen.add(g.map)
+                maps.append(g.map)
+                parent.append(-1)
+                letter.append(i)
+                yield g.map
+        # (0,) + g.map is g shifted to index by point: s then g is
+        # tuple(map(shifted.__getitem__, s)).
+        steps = [(i, ((0,) + g.map).__getitem__)
+                 for i, g in enumerate(self.gens, start=1)]
+        head = 0
+        while head < len(maps):
+            s = maps[head]
+            for i, then_g in steps:
+                t = tuple(map(then_g, s))
+                if t not in seen:
+                    if len(seen) >= cap:
+                        raise EnumerationCapExceeded(cap)
+                    seen.add(t)
+                    maps.append(t)
+                    parent.append(head)
+                    letter.append(i)
+                    yield t
+            head += 1
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """The canonical word of the i-th map."""
+        out = []
+        while i >= 0:
+            out.append(self.letter[i])
+            i = self.parent[i]
+        return tuple(reversed(out))
+
+    def element(self, i: int) -> tuple[Transformation, tuple[int, ...]]:
+        return Transformation(self.gens.degree, self.maps[i]), self.word(i)
 
 
 def iter_elements(gens: GeneratorSet,
@@ -25,52 +98,53 @@ def iter_elements(gens: GeneratorSet,
     Raises EnumerationCapExceeded as soon as more than ``cap`` distinct
     elements appear.
     """
-    seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[Transformation, tuple[int, ...]]] = deque()
-    for i, g in enumerate(gens):
-        if g.map not in seen:
-            if len(seen) >= cap:
-                raise EnumerationCapExceeded(cap)
-            seen.add(g.map)
-            queue.append((g, (i + 1,)))
-            yield g, (i + 1,)
-    while queue:
-        s, word = queue.popleft()
-        for i, g in enumerate(gens):
-            t = compose(s, g)
-            if t.map not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapExceeded(cap)
-                seen.add(t.map)
-                queue.append((t, word + (i + 1,)))
-                yield t, word + (i + 1,)
+    bfs = _CanonicalBFS(gens, cap)
+    for i, _ in enumerate(bfs):
+        yield bfs.element(i)
 
+
+def _first(gens: GeneratorSet, s: Transformation, cap: int,
+           hit: Callable[[Map], bool]
+           ) -> tuple[Transformation, tuple[int, ...]] | None:
+    """The first element in canonical order whose map passes ``hit``, a
+    test that relates it to the target ``s``."""
+    if s.degree != gens.degree:
+        raise DegreeMismatchError(
+            f"target of degree {s.degree} in a semigroup of degree {gens.degree}")
+    bfs = _CanonicalBFS(gens, cap)
+    for i, t in enumerate(bfs):
+        if hit(t):
+            return bfs.element(i)
+    return None
+
+
+# s·t·s = s says s(t(x)) = x for every x in im(s); t·s·t = t says
+# t(s(y)) = y for every y in im(t).  Maps are 1-indexed tuples, and
+# shifted = (0,) + s.map indexes s by point.
 
 def find_regularizer(gens: GeneratorSet, s: Transformation,
                      cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with s·t·s = s, or None after exhausting S."""
-    for t, word in iter_elements(gens, cap):
-        if compose(compose(s, t), s) == s:
-            return t, word
-    return None
+    shifted, im_s = (0,) + s.map, set(s.map)
+    return _first(gens, s, cap,
+                  lambda t: all(shifted[t[x - 1]] == x for x in im_s))
 
 
 def find_weak_inverse(gens: GeneratorSet, s: Transformation,
                       cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with t·s·t = t, or None."""
-    for t, word in iter_elements(gens, cap):
-        if compose(compose(t, s), t) == t:
-            return t, word
-    return None
+    shifted = (0,) + s.map
+    return _first(gens, s, cap,
+                  lambda t: all(t[shifted[y] - 1] == y for y in t))
 
 
 def find_inverse(gens: GeneratorSet, s: Transformation,
                  cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with s·t·s = s and t·s·t = t, or None."""
-    for t, word in iter_elements(gens, cap):
-        if compose(compose(s, t), s) == s and compose(compose(t, s), t) == t:
-            return t, word
-    return None
+    shifted, im_s = (0,) + s.map, set(s.map)
+    return _first(gens, s, cap,
+                  lambda t: all(shifted[t[x - 1]] == x for x in im_s)
+                  and all(t[shifted[y] - 1] == y for y in t))
 
 
 def canonical_weak_inverse(s: Transformation) -> tuple[Transformation, int]:
@@ -87,25 +161,50 @@ def canonical_weak_inverse(s: Transformation) -> tuple[Transformation, int]:
 
 def is_regular_semigroup(gens: GeneratorSet,
                          cap: int = DEFAULT_CAP) -> PropertyReport:
-    """Every element has some t with s·t·s = s; UNDECIDED past the cap."""
+    """Every element has some t with s·t·s = s; UNDECIDED past the cap.
+
+    s is regular iff some image A in the strong component of im(s), in the
+    orbit of images under the generators, is a transversal of ker(s):
+    |A| = rank(s) and s is injective on A.
+
+    If s = s·t·s, then e = s·t is an idempotent R-related to s, and
+    A = im(e) = im(s)·t lies in the component of im(s), since A·s = im(s).
+    s maps A onto im(s), so A is a transversal of ker(s).  Conversely, if
+    A = im(s)·u (u in S or empty) is a transversal of ker(s), then s·u maps
+    A = im(s·u) bijectively onto im(s)·u = A, so some power e = (s·u)^k is
+    an idempotent, and ker(e) = ker(s·u) = ker(s) because the ranks agree.
+    e maps each point into its own class of ker(e) = ker(s), so e·s = s; with
+    v = u·(s·u)^(k-1) that reads s = s·v·s; t = v·s·v is then in S and
+    s·t·s = s.
+
+    So the test depends only on the pair (ker(s), component of im(s)); each
+    pair is tested once.  The first non-regular element in canonical order
+    is the witness.
+    """
     rb = ReportBuilder("regular", gens, "structural")
+    bfs = _CanonicalBFS(gens, cap)
     try:
-        elements = list(iter_elements(gens, cap))
+        maps = list(bfs)
     except EnumerationCapExceeded:
         return rb.undecided({"kind": "enumeration-cap", "cap": cap})
-    maps = [t.map for t, _ in elements]
-    n = gens.degree
-    for s, word in elements:
-        smap = s.map
-        regular = False
-        for tmap in maps:
-            # s·t·s displayed pointwise, avoiding object churn
-            if all(smap[tmap[smap[q] - 1] - 1] == smap[q] for q in range(n)):
-                regular = True
-                break
+    orbit = image_orbit(gens)
+    regular_class: dict[tuple[Map, int], bool] = {}
+    for i, s in enumerate(maps):
+        first: dict[int, int] = {}
+        labels = tuple([first.setdefault(x, len(first)) for x in s])
+        comp = orbit.component[orbit.index[frozenset(s)]]
+        key = (labels, comp)
+        regular = regular_class.get(key)
+        if regular is None:
+            rank = len(first)
+            regular = regular_class[key] = any(
+                len(orbit.images[j]) == rank
+                and len({labels[a - 1] for a in orbit.images[j]}) == rank
+                for j in orbit.components[comp])
         if not regular:
             return rb.false({"kind": "non-regular-element",
-                             "element": {"map": list(smap), "word": list(word)}})
+                             "element": {"map": list(s),
+                                         "word": list(bfs.word(i))}})
     return rb.true()
 
 

@@ -34,6 +34,15 @@ SEEDED_SAMPLES = 1000
 CLI_TIMEOUT_SECONDS = 120
 
 
+def full_monoid(n):
+    """An n-cycle, a transposition and a rank-(n-1) idempotent generate T_n."""
+    return GeneratorSet.from_maps([
+        tuple(list(range(2, n + 1)) + [1]),
+        tuple([2, 1] + list(range(3, n + 1))),
+        tuple([1, 1] + list(range(3, n + 1))),
+    ])
+
+
 @pytest.fixture
 def cli_command():
     """``(argv prefix, env)`` that run the CLI under test in a subprocess.

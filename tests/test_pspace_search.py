@@ -10,7 +10,8 @@ from tsprops.core import (
     power,
     word_to_transformation,
 )
-from tsprops.errors import EnumerationCapExceeded
+from tsprops.crosscheck import exhaustive_generator_sets
+from tsprops.errors import DegreeMismatchError, EnumerationCapExceeded
 from tsprops.oracle import definitional_check, enumerate_semigroup
 from tsprops.pspace_search import (
     canonical_weak_inverse,
@@ -21,6 +22,8 @@ from tsprops.pspace_search import (
     is_regular_semigroup,
     iter_elements,
 )
+
+from conftest import full_monoid
 
 SIGMA = GeneratorSet.from_maps([(2, 3, 1)])
 COLLAPSE = GeneratorSet.from_maps([(1, 1, 2)])
@@ -69,6 +72,13 @@ def test_find_regularizer_none_case():
     assert hit is not None
     t, _ = hit
     assert compose(compose(t, s), t) == t
+
+
+@pytest.mark.parametrize("finder",
+                         [find_regularizer, find_weak_inverse, find_inverse])
+def test_find_functions_reject_target_of_other_degree(finder):
+    with pytest.raises(DegreeMismatchError):
+        finder(SIGMA, Transformation(2, (2, 1)))
 
 
 def test_find_functions_replay_equations():
@@ -153,3 +163,83 @@ def test_is_inverse_semigroup():
         oracle = definitional_check(enumerate_semigroup(gens),
                                     "inverse_semigroup")
         assert structural.verdict.value == oracle.verdict.value, gens
+
+
+def all_pairs_regular(gens):
+    """Reference: (verdict, witness) from the definition, trying every t in S
+    for every s in canonical order, with S enumerated by ``compose``."""
+    seen = set()
+    elements = []
+    for i, g in enumerate(gens, start=1):
+        if g.map not in seen:
+            seen.add(g.map)
+            elements.append((g, (i,)))
+    head = 0
+    while head < len(elements):
+        s, word = elements[head]
+        head += 1
+        for i, g in enumerate(gens, start=1):
+            t = compose(s, g)
+            if t.map not in seen:
+                seen.add(t.map)
+                elements.append((t, word + (i,)))
+    maps = [t.map for t, _ in elements]
+    n = gens.degree
+    for s, word in elements:
+        smap = s.map
+        if not any(all(smap[tmap[smap[q] - 1] - 1] == smap[q] for q in range(n))
+                   for tmap in maps):
+            return "FALSE", {"kind": "non-regular-element",
+                             "element": {"map": list(smap), "word": list(word)}}
+    return "TRUE", None
+
+
+def assert_matches_all_pairs(gens):
+    report = is_regular_semigroup(gens)
+    assert (report.verdict.value, report.witness) == all_pairs_regular(gens), gens
+
+
+def test_is_regular_matches_all_pairs_exhaustive():
+    # every set of degree 1-2 with up to three generators, and of degree 3
+    # with up to two: 843 sets
+    count = 0
+    for n, k_max in ((1, 3), (2, 3), (3, 2)):
+        for gens in exhaustive_generator_sets(n, k_max):
+            assert_matches_all_pairs(gens)
+            count += 1
+    assert count == 843
+
+
+def test_is_regular_matches_all_pairs_seeded():
+    # The reference takes about half a minute on a set as large as T6, which
+    # test_full_monoid_6_regular_not_inverse covers; sets past 10 000
+    # elements are drawn again.
+    rng = random.Random(85)
+    compared = 0
+    while compared < 300:
+        gens = rand_gens(rng, n_max=6)
+        report = is_regular_semigroup(gens, cap=10_000)
+        if report.verdict.value == "UNDECIDED":
+            continue
+        assert (report.verdict.value, report.witness) == \
+            all_pairs_regular(gens), gens
+        compared += 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_is_regular_matches_all_pairs_full_monoid(n):
+    assert_matches_all_pairs(full_monoid(n))
+
+
+def test_full_monoid_6_regular_not_inverse():
+    t6 = full_monoid(6)
+    assert is_regular_semigroup(t6).verdict.value == "TRUE"
+    assert is_inverse_semigroup(t6).verdict.value == "FALSE"
+
+
+def test_full_monoid_7_past_default_cap_is_undecided():
+    t7 = full_monoid(7)  # 823 543 elements
+    for check in (is_regular_semigroup, is_inverse_semigroup):
+        report = check(t7)
+        assert report.verdict.value == "UNDECIDED"
+        assert report.witness == {"kind": "enumeration-cap", "cap": 200_000}
