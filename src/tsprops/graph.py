@@ -1,16 +1,25 @@
-"""Transformation graphs and reachability over tuples of points.
+"""Transformation graphs and the tuple-search layer.
 
 The transformation graph of a generator set has an edge ``p -> q`` whenever
-some generator maps ``p`` to ``q``.  Reachability questions about the
-semigroup's action are phrased as breadth-first searches over tuples of
-points acted on componentwise; witnesses are words over 1-indexed generator
-indices, canonicalised shortest-first and then lexicographically.
+some generator maps ``p`` to ``q``.
+
+Every reachability question about the semigroup's componentwise action on
+tuples of points goes through one breadth-first search, ``_bfs``.  It is
+keyed by the point tuples themselves: a generator ``g`` steps ``t`` to
+``tuple(map(((0,) + g.map).__getitem__, t))``, and the dict of back-pointers
+is the only visited set, so a search holds the tuples it reaches and never
+the whole space of ``n ** d`` tuples.  ``multi_tuple_reachability`` stops at
+the first target and reads its word off the back-pointers; words are over
+1-indexed generator indices, canonicalised shortest-first and then
+lexicographically.  ``reach_set`` runs the search to exhaustion and returns
+the orbit ``source·S``; a caller asking for many orbits passes a memoised
+successor function, as ``identity_engine`` does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import GeneratorSet
@@ -18,9 +27,8 @@ from .errors import StateBudgetExceeded
 
 STATE_BUDGET = 100_000_000
 
-# Above this many states the visited structure becomes a hash set rather
-# than a flat bytearray, to avoid allocating the whole space up front.
-_BITMAP_LIMIT = 1 << 22
+# A point tuple's images under each generator, in generator order.
+Successors = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -133,40 +141,50 @@ def has_cycle(g: Digraph, ignore_self_loops: bool) -> tuple[bool, tuple[int, ...
     return False, None
 
 
-def _encode(t: Sequence[int], n: int) -> int:
-    # Big-endian: integer order of encodings equals lexicographic tuple order.
-    e = 0
-    for q in t:
-        e = e * n + (q - 1)
-    return e
+def tuple_successors(gens: GeneratorSet) -> Successors:
+    """The successor function of ``gens`` on point tuples of any dimension."""
+    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
+
+    def successors(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple(map(step, t)) for step in steps]
+
+    return successors
 
 
-def _decode(e: int, n: int, d: int) -> tuple[int, ...]:
-    out = [0] * d
-    for i in range(d - 1, -1, -1):
-        out[i] = e % n + 1
-        e //= n
-    return tuple(out)
+def _bfs(sources: Sequence[tuple[int, ...]], successors: Successors,
+         back: dict) -> Iterator[tuple[int, ...]]:
+    """Yield each tuple reached from ``sources`` by a nonempty word, once, in
+    breadth-first order: sources in the order given, each tuple's successors
+    in generator order.  The path back to a source is therefore the
+    shortest word, and among those the lexicographically least.
+
+    ``back`` is the visited set: before a tuple is yielded it maps it to
+    ``(previous tuple or None, generator index, source index)``.
+    """
+    queue: deque[tuple[int, ...]] = deque()
+    for si, s in enumerate(sources):
+        for c, t in enumerate(successors(s)):
+            if t not in back:
+                back[t] = (None, c, si)
+                yield t
+                queue.append(t)
+    while queue:
+        cur = queue.popleft()
+        for c, t in enumerate(successors(cur)):
+            if t not in back:
+                back[t] = (cur, c, 0)
+                yield t
+                queue.append(t)
 
 
-class _Visited:
-    """First-visit marker over an encoded state space."""
-
-    def __init__(self, size: int):
-        self._bits = bytearray(size) if size <= _BITMAP_LIMIT else None
-        self._set: set[int] = set()
-
-    def mark(self, e: int) -> bool:
-        """Mark ``e``; return True if it was new."""
-        if self._bits is not None:
-            if self._bits[e]:
-                return False
-            self._bits[e] = 1
-            return True
-        if e in self._set:
-            return False
-        self._set.add(e)
-        return True
+def reach_set(source: tuple[int, ...],
+              successors: Successors) -> frozenset[tuple[int, ...]]:
+    """Every tuple reached from ``source`` by a nonempty word: the orbit
+    ``source·S``, so at most |S| tuples."""
+    back: dict = {}
+    for _ in _bfs((source,), successors, back):
+        pass
+    return frozenset(back)
 
 
 def multi_tuple_reachability(
@@ -216,43 +234,17 @@ def multi_tuple_reachability(
             if is_target(s):
                 return s, ()
 
-    maps = [g.map for g in gens.generators]
-    k = len(maps)
-    visited = _Visited(n_states)
-    # encoded state -> (previous encoded state or None, generator, source index)
-    back: dict[int, tuple[int | None, int, int]] = {}
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()
-
-    def emit(e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        word = []
-        cur = e
-        while True:
-            prev, c, si = back[cur]
-            word.append(c + 1)
-            if prev is None:
-                return srcs[si], tuple(reversed(word))
-            cur = prev
-
-    for si, s in enumerate(srcs):
-        for c in range(k):
-            t = tuple(maps[c][q - 1] for q in s)
-            e = _encode(t, n)
-            if visited.mark(e):
-                back[e] = (None, c, si)
-                if is_target(t):
-                    return emit(e)
-                queue.append((e, t))
-
-    while queue:
-        ecur, cur = queue.popleft()
-        for c in range(k):
-            t = tuple(maps[c][q - 1] for q in cur)
-            e = _encode(t, n)
-            if visited.mark(e):
-                back[e] = (ecur, c, 0)
-                if is_target(t):
-                    return emit(e)
-                queue.append((e, t))
+    back: dict = {}
+    for hit in _bfs(srcs, tuple_successors(gens), back):
+        if is_target(hit):
+            word = []
+            cur = hit
+            while True:
+                prev, c, si = back[cur]
+                word.append(c + 1)
+                if prev is None:
+                    return srcs[si], tuple(reversed(word))
+                cur = prev
     return None
 
 

@@ -16,9 +16,12 @@ Two devices keep the enumeration honest but small:
   sources to equal targets).  If the two end slots merge, the conclusion is
   forced and the answer is TRUE with no search at all.
 * Per-variable transition requirements are deduplicated to distinct
-  (source class, target class) pairs and decided by breadth-first search over
-  the componentwise action on tuples, cached per source tuple across the
-  whole valuation sweep.
+  (source class, target class) pairs.  A target tuple is feasible iff it lies
+  in the source tuple's orbit under the componentwise action, which
+  ``graph.reach_set`` computes by the package's one tuple-keyed
+  breadth-first search.  Orbits are cached per source tuple, and each
+  tuple's successors are memoised, for the whole valuation sweep of one
+  ``models`` call.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from operator import itemgetter
 
 from .core import GeneratorSet
 from .errors import ParseError, StateBudgetExceeded, UnknownPropertyError
-from .graph import STATE_BUDGET, tuple_reachability
+from .graph import (STATE_BUDGET, reach_set, tuple_reachability,
+                    tuple_successors)
 from .report import PropertyReport, ReportBuilder
 
-_DENSE_LIMIT = 2_000_000  # tuple spaces up to this size get a numpy successor table
 _VARIABLE = re.compile(r"x([1-9])")
 
 
@@ -160,102 +162,40 @@ class _UnionFind:
         return True
 
 
+def _projection(indices: list[int]):
+    """The function taking a valuation to the tuple of its entries at
+    ``indices``."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda valuation: (valuation[i],)
+    return itemgetter(*indices)
+
+
 class _VariableSearch:
     """Cached reachability for one variable's deduplicated transition pairs.
 
     State tuples hold one coordinate per distinct (source class, target class)
     pair; a target tuple is reachable from a source tuple iff one word (of
-    length >= 1) realizes every required transition at once.
+    length >= 1) realizes every required transition at once.  ``orbit``
+    maps a source tuple to its orbit, memoised by one ``models`` call.
     """
 
     def __init__(self, gens: GeneratorSet, pairs: list[tuple[int, int]],
-                 budget: int):
+                 orbit, budget: int):
         self.gens = gens
-        self.pairs = pairs
-        self.src_classes = [s for s, _ in pairs]
-        self.tgt_classes = [t for _, t in pairs]
-        self.n = gens.degree
-        self.d = len(pairs)
-        self.space = self.n ** self.d
-        if self.space > budget:
-            raise StateBudgetExceeded(self.space, budget)
-        self._cache: dict[int, object] = {}
-        self._succ = None
-        if self.space <= _DENSE_LIMIT:
-            self._succ = self._build_succ()
-
-    def _build_succ(self) -> np.ndarray:
-        n, d, space = self.n, self.d, self.space
-        digits = np.empty((space, d), dtype=np.int64)
-        e = np.arange(space, dtype=np.int64)
-        for pos in range(d - 1, -1, -1):
-            digits[:, pos] = e % n
-            e //= n
-        radix = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        succ = np.empty((space, len(self.gens)), dtype=np.int64)
-        for c, g in enumerate(self.gens):
-            lut = np.asarray(g.map, dtype=np.int64) - 1
-            succ[:, c] = lut[digits] @ radix
-        return succ
-
-    def _encode(self, values) -> int:
-        e = 0
-        for v in values:
-            e = e * self.n + (v - 1)
-        return e
-
-    def _reach_dense(self, src: int) -> np.ndarray:
-        vis = np.zeros(self.space, dtype=bool)
-        frontier = np.unique(self._succ[src])
-        vis[frontier] = True
-        while frontier.size:
-            nxt = np.unique(self._succ[frontier])
-            nxt = nxt[~vis[nxt]]
-            vis[nxt] = True
-            frontier = nxt
-        return vis
-
-    def _reach_sparse(self, src: int) -> set[int]:
-        n, d = self.n, self.d
-        maps = [g.map for g in self.gens.generators]
-
-        def decode(e):
-            out = [0] * d
-            for pos in range(d - 1, -1, -1):
-                out[pos] = e % n + 1
-                e //= n
-            return out
-
-        vis: set[int] = set()
-        frontier = [src]
-        while frontier:
-            new = []
-            for e in frontier:
-                t = decode(e)
-                for mp in maps:
-                    e2 = self._encode(mp[q - 1] for q in t)
-                    if e2 not in vis:
-                        vis.add(e2)
-                        new.append(e2)
-            frontier = new
-        return vis
+        space = gens.degree ** len(pairs)
+        if space > budget:
+            raise StateBudgetExceeded(space, budget)
+        self._source = _projection([s for s, _ in pairs])
+        self._target = _projection([t for _, t in pairs])
+        self._orbit = orbit
 
     def feasible(self, valuation) -> bool:
-        src = self._encode(valuation[c] for c in self.src_classes)
-        tgt = self._encode(valuation[c] for c in self.tgt_classes)
-        hit = self._cache.get(src)
-        if hit is None:
-            hit = (self._reach_dense(src) if self._succ is not None
-                   else self._reach_sparse(src))
-            self._cache[src] = hit
-        if self._succ is not None:
-            return bool(hit[tgt])
-        return tgt in hit
+        return self._target(valuation) in self._orbit(self._source(valuation))
 
     def witness_word(self, valuation) -> tuple[int, ...]:
-        src = tuple(valuation[c] for c in self.src_classes)
-        tgt = tuple(valuation[c] for c in self.tgt_classes)
-        word = tuple_reachability(self.gens, src, {tgt}, min_length=1)
+        word = tuple_reachability(self.gens, self._source(valuation),
+                                  {self._target(valuation)}, min_length=1)
         if word is None:
             raise RuntimeError("feasible transition lost its word; this is a bug")
         return word
@@ -309,19 +249,43 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
         raise StateBudgetExceeded(n ** classes, budget)
     end_left, end_right = slot_class[last_left], slot_class[last_right]
 
+    # One models call memoises every tuple's successors and every source
+    # tuple's orbit; an orbit depends on the tuple alone, not on the variable.
+    # Tuples on one cycle share their orbit, so equal orbits are stored once.
+    step = tuple_successors(gens)
+    successor_memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    orbit_memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+    distinct_orbits: dict[frozenset, frozenset] = {}
+
+    def successors(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+        succ = successor_memo.get(t)
+        if succ is None:
+            succ = successor_memo[t] = step(t)
+        return succ
+
+    def orbit(src: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        hit = orbit_memo.get(src)
+        if hit is None:
+            hit = reach_set(src, successors)
+            hit = orbit_memo[src] = distinct_orbits.setdefault(hit, hit)
+        return hit
+
     # Variables with no occurrences stay unconstrained; any word serves them.
     searches: dict[int, _VariableSearch] = {}
     for i in range(1, qid.variables + 1):
         pairs = sorted({(slot_class[s], slot_class[t])
                         for s, t in occurrences[i]})
         if pairs:
-            searches[i] = _VariableSearch(gens, pairs, budget)
+            searches[i] = _VariableSearch(gens, pairs, orbit, budget)
 
     search_list = list(searches.values())
     for valuation in product(range(1, n + 1), repeat=classes):
         if valuation[end_left] == valuation[end_right]:
             continue
-        if all(search.feasible(valuation) for search in search_list):
+        for search in search_list:
+            if not search.feasible(valuation):
+                break
+        else:
             assignment = []
             for i in range(1, qid.variables + 1):
                 if i in searches:

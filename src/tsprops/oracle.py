@@ -614,7 +614,9 @@ def models_by_enumeration(table: ElementTable, qid,
     """Evaluate a quasi-identity by trying every assignment of elements.
 
     Variables constrained to be idempotent draw from the idempotent elements
-    only.  Returns (True, None) or (False, witness).
+    only.  Returns (True, None) or (False, witness).  Raises
+    ``StateBudgetExceeded`` when the assignments or the m × m product table
+    would exceed ``max_assignments``.
     """
     m = len(table)
     pools = []
@@ -630,6 +632,8 @@ def models_by_enumeration(table: ElementTable, qid,
         raise StateBudgetExceeded(total, max_assignments)
     if total == 0:
         return True, None
+    if m * m > max_assignments:
+        raise StateBudgetExceeded(m * m, max_assignments)
 
     # Pair-product table: prod[i, j] = index of element i followed by element j.
     maps = table.maps

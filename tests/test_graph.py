@@ -8,8 +8,10 @@ from tsprops.graph import (
     Digraph,
     has_cycle,
     multi_tuple_reachability,
+    reach_set,
     transformation_graph,
     tuple_reachability,
+    tuple_successors,
     undirected_components,
 )
 
@@ -162,3 +164,52 @@ def test_state_budget():
     gens = GeneratorSet.from_maps([(2, 3, 1)])
     with pytest.raises(StateBudgetExceeded):
         multi_tuple_reachability(gens, [(1, 1, 1)], [(2, 2, 2)], budget=8)
+
+
+def _elements(gens):
+    """Every element of the semigroup as a map tuple: the generators closed
+    under right multiplication by each generator."""
+    maps = [g.map for g in gens.generators]
+    seen = set(maps)
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for g in maps:
+                t = tuple(g[q - 1] for q in s)
+                if t not in seen:
+                    seen.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return seen
+
+
+def _orbit(gens, t):
+    return {tuple(s[q - 1] for q in t) for s in _elements(gens)}
+
+
+def test_reach_set_is_the_orbit_under_the_semigroup():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, 3)
+        gens = GeneratorSet.from_maps(
+            [tuple(rng.randint(1, n) for _ in range(n)) for _ in range(k)])
+        t = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 4)))
+        assert reach_set(t, tuple_successors(gens)) == _orbit(gens, t), (
+            gens, t)
+
+
+def test_reach_set_in_a_space_of_millions():
+    # 40**4 = 2 560 000 tuples of dimension 4, but S = <40-cycle, q -> 1 +
+    # (q-1) mod 4> has 200 elements, so the orbit is small.
+    n = 40
+    gens = GeneratorSet.from_maps([
+        tuple(list(range(2, n + 1)) + [1]),
+        tuple(1 + (q - 1) % 4 for q in range(1, n + 1)),
+    ])
+    assert len(_elements(gens)) == 200
+    t = (1, 2, 7, 40)
+    orbit = reach_set(t, tuple_successors(gens))
+    assert orbit == _orbit(gens, t)
+    assert t in orbit  # the cycle returns every tuple to itself

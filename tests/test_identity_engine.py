@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from tsprops.oracle import (
     enumerate_semigroup,
     models_by_enumeration,
 )
+from tsprops.report import Verdict
 
 CONSTS = GeneratorSet.from_maps([(1, 1, 1), (2, 2, 2)])
 SIGMA = GeneratorSet.from_maps([(2, 3, 1)])
@@ -202,3 +204,21 @@ def test_unconstrained_variable_gets_placeholder_word():
     report = models(SIGMA, two)
     assert not report.verdict
     assert len(report.witness["assignment"]) == 2
+
+
+def test_semilattice_past_degree_11_in_bounded_memory():
+    # <[1,1,3..12], [1..1]> is the two-element semilattice {e, 0}, so all
+    # four presets hold.  The orbit caches hold only the tuples they reach,
+    # far fewer than the 12**d tuples of each search's space.
+    n = 12
+    gens = GeneratorSet.from_maps([(1, 1, *range(3, n + 1)), (1,) * n])
+    names = ("band", "commuting_idempotents", "central_idempotents",
+             "orthodox")
+    tracemalloc.start()
+    try:
+        verdicts = [models(gens, PRESETS[name]).verdict for name in names]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [Verdict.TRUE] * 4
+    assert peak < 64 * 2**20, peak

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import full_monoid
 from tsprops.core import (
     GeneratorSet,
     Transformation,
@@ -257,6 +258,14 @@ def test_models_by_enumeration_budget():
     table = enumerate_semigroup(CONSTS)
     with pytest.raises(StateBudgetExceeded):
         models_by_enumeration(table, PRESETS["band"], max_assignments=1)
+
+
+def test_models_by_enumeration_bounds_the_product_table():
+    # T3 has 27 elements: one variable gives 27 assignments, within the
+    # budget, but the 27 x 27 product table is not.
+    table = enumerate_semigroup(full_monoid(3))
+    with pytest.raises(StateBudgetExceeded):
+        models_by_enumeration(table, PRESETS["band"], max_assignments=100)
 
 
 def test_models_by_enumeration_idempotent_pools():
