@@ -8,6 +8,9 @@ instances from DFAs and digraphs), ``crosscheck`` (agreement sweeps).
 Exit codes: 0 TRUE/success, 1 FALSE/disagreements-found, 2 parse or input
 error, 3 unknown property, 4 undecided (cap or budget hit), 5 engine
 disagreement.
+
+The oracle and the sweeps need numpy, so they are imported inside the
+functions that run them: the structural commands start without numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import sys
 from pathlib import Path
 
 from . import identity_engine, pspace_search
-from .core import GeneratorSet
-from .crosscheck import exhaustive_generator_sets, run_sweep, seeded_instances
+from .core import DEFAULT_CAP, GeneratorSet
 from .errors import (
     EnumerationCapExceeded,
     ParseError,
@@ -36,7 +38,6 @@ from .formats import (
     render_generators,
 )
 from .identity_engine import parse_quasi_identity
-from .oracle import DEFAULT_CAP, definitional_check, enumerate_semigroup
 from .properties import REGISTRY
 from .reductions import (
     InputDigraph,
@@ -94,6 +95,8 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
+    from .oracle import definitional_check, enumerate_semigroup
+
     try:
         table = enumerate_semigroup(gens, cap)
     except EnumerationCapExceeded as exc:
@@ -313,6 +316,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from .crosscheck import exhaustive_generator_sets, run_sweep, seeded_instances
+
     if args.samples > 0:
         instances = seeded_instances(args.seed, args.samples, args.n, args.k)
         meta = {"mode": "random", "samples": args.samples, "seed": args.seed}
