@@ -8,7 +8,7 @@ the right: the image of ``q`` under ``s`` then ``t`` is ``t(s(q))``, written
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegreeMismatchError
 
@@ -168,6 +168,9 @@ class GeneratorSet:
     degree: int
     generators: tuple[Transformation, ...]
     names: tuple[str, ...] | None = None
+    # The instance digest, kept here by ``formats.cached_instance_digest``.
+    _digest: str | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .core import GeneratorSet
-from .formats import instance_digest, render_generators
+from .formats import cached_instance_digest, render_generators
 from .oracle import (
     DEFAULT_CAP,
     ElementTable,
@@ -87,7 +87,7 @@ def check_instance(gens: GeneratorSet,
     if table is None:
         table = enumerate_semigroup(gens, cap)
     wanted = set(properties) if properties is not None else None
-    result = InstanceResult(gens=gens, digest=instance_digest(gens),
+    result = InstanceResult(gens=gens, digest=cached_instance_digest(gens),
                             element_count=len(table), verdicts={})
 
     for name, (structural, oracle_key) in REGISTRY.items():

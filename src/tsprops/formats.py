@@ -89,6 +89,15 @@ def instance_digest(gens: GeneratorSet) -> str:
     return hashlib.sha256(render_generators(gens).encode()).hexdigest()[:16]
 
 
+def cached_instance_digest(gens: GeneratorSet) -> str:
+    """``instance_digest(gens)``, computed once and kept on the instance."""
+    digest = gens._digest
+    if digest is None:
+        digest = instance_digest(gens)
+        object.__setattr__(gens, "_digest", digest)
+    return digest
+
+
 def parse_digraph(text: str):
     """Parse a digraph file into (vertex count, edge list)."""
     lines = list(_logical_lines(text))

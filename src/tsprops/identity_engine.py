@@ -8,28 +8,39 @@ valuations and asks, per variable independently, whether one word can realize
 all of that variable's required transitions simultaneously (plus, for
 idempotency-constrained variables, re-fixing each landing point).
 
-Two devices keep the enumeration honest but small:
+Three devices keep the enumeration honest but small:
 
 * Slots provably forced equal are merged up front by a union-find closure:
   starting from p_1 = q_1, whenever two occurrences of one variable have
   merged source slots their target slots merge too (one word maps equal
   sources to equal targets).  If the two end slots merge, the conclusion is
-  forced and the answer is TRUE with no search at all.
+  forced and the answer is TRUE with no search at all.  The classes depend
+  on the quasi-identity alone and are computed once per quasi-identity.
 * Per-variable transition requirements are deduplicated to distinct
   (source class, target class) pairs.  A target tuple is feasible iff it lies
   in the source tuple's orbit under the componentwise action, which
   ``graph.reach_set`` computes by the package's one tuple-keyed
   breadth-first search.  Orbits are cached per source tuple, and each
-  tuple's successors are memoised, for the whole valuation sweep of one
+  tuple's successors are memoised, for the whole valuation search of one
   ``models`` call.
+* Valuations are assigned depth-first, class by class in index order, and a
+  partial valuation is abandoned as soon as it fails: a variable is tested
+  once its highest class is bound, the end classes once both are.  A class
+  b that is the target of a pair (a, b) with a < b takes its values only
+  from the orbit of the bound point v_a, because a nonempty word maps v_a
+  to v_b.  The surviving valuations are met in the lexicographic order of
+  a full sweep, so the first counterexample, and the witness built from
+  it, are the ones the full sweep would give.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import GeneratorSet
 from .errors import ParseError, StateBudgetExceeded, UnknownPropertyError
@@ -180,7 +191,7 @@ class _VariableSearch:
     maps a source tuple to its orbit, memoised by one ``models`` call.
     """
 
-    def __init__(self, gens: GeneratorSet, pairs: list[tuple[int, int]],
+    def __init__(self, gens: GeneratorSet, pairs: Sequence[tuple[int, int]],
                  orbit, budget: int):
         self.gens = gens
         space = gens.degree ** len(pairs)
@@ -201,13 +212,29 @@ class _VariableSearch:
         return word
 
 
-def models(gens: GeneratorSet, qid: QuasiIdentity,
-           budget: int = STATE_BUDGET,
-           property_name: str | None = None) -> PropertyReport:
-    """TRUE iff every assignment (idempotent elements for constrained
-    variables) makes the two words equal."""
-    rb = ReportBuilder(property_name or "quasi-identity", gens, "structural")
-    n = gens.degree
+class _Classes(NamedTuple):
+    """The slot classes of one quasi-identity, which depend on it alone.
+
+    ``slot_class[s]`` numbers the class of slot s; ``pairs`` holds
+    ``(i, transitions)`` for each variable i that occurs, in order, with its
+    distinct (source class, target class) transitions ascending;
+    ``sources[b]`` lists ascending the classes a < b with (a, b) a
+    transition of some variable.
+    """
+
+    slot_class: tuple[int, ...]
+    classes: int
+    end_left: int
+    end_right: int
+    pairs: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    sources: tuple[tuple[int, ...], ...]
+
+
+@cache
+def _slot_classes(qid: QuasiIdentity) -> _Classes | None:
+    """Merge the slots provably forced equal; None when that merges the two
+    end slots, so the conclusion holds under every assignment.  Computed
+    once per quasi-identity."""
     l, r = len(qid.lhs), len(qid.rhs)
     # Slots 0..l trace the left word, slots l+1..l+r+1 the right word.
     slots = l + r + 2
@@ -237,17 +264,40 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
                 else:
                     first_target[root] = t
     if uf.find(last_left) == uf.find(last_right):
-        # Equal sources force equal targets all the way to both ends: the
-        # conclusion holds under every assignment.
-        return rb.true()
+        # Equal sources force equal targets all the way to both ends.
+        return None
 
     roots = sorted({uf.find(s) for s in range(slots)})
     class_index = {root: idx for idx, root in enumerate(roots)}
-    slot_class = [class_index[uf.find(s)] for s in range(slots)]
-    classes = len(roots)
+    slot_class = tuple(class_index[uf.find(s)] for s in range(slots))
+    pairs = []
+    sources: list[set[int]] = [set() for _ in roots]
+    for i, occ in occurrences.items():
+        if occ:
+            transitions = tuple(sorted({(slot_class[s], slot_class[t])
+                                        for s, t in occ}))
+            pairs.append((i, transitions))
+            for a, b in transitions:
+                if a < b:
+                    sources[b].add(a)
+    return _Classes(slot_class, len(roots), slot_class[last_left],
+                    slot_class[last_right], tuple(pairs),
+                    tuple(tuple(sorted(srcs)) for srcs in sources))
+
+
+def models(gens: GeneratorSet, qid: QuasiIdentity,
+           budget: int = STATE_BUDGET,
+           property_name: str | None = None) -> PropertyReport:
+    """TRUE iff every assignment (idempotent elements for constrained
+    variables) makes the two words equal."""
+    rb = ReportBuilder(property_name or "quasi-identity", gens, "structural")
+    merged = _slot_classes(qid)
+    if merged is None:
+        return rb.true()
+    n = gens.degree
+    slot_class, classes, end_left, end_right, pairs, sources = merged
     if n ** classes > budget:
         raise StateBudgetExceeded(n ** classes, budget)
-    end_left, end_right = slot_class[last_left], slot_class[last_right]
 
     # One models call memoises every tuple's successors and every source
     # tuple's orbit; an orbit depends on the tuple alone, not on the variable.
@@ -271,44 +321,93 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
         return hit
 
     # Variables with no occurrences stay unconstrained; any word serves them.
+    # A variable is tested as soon as its highest class is bound.
     searches: dict[int, _VariableSearch] = {}
-    for i in range(1, qid.variables + 1):
-        pairs = sorted({(slot_class[s], slot_class[t])
-                        for s, t in occurrences[i]})
-        if pairs:
-            searches[i] = _VariableSearch(gens, pairs, orbit, budget)
+    tests_at: list[list] = [[] for _ in range(classes)]
+    for i, transitions in pairs:
+        searches[i] = _VariableSearch(gens, transitions, orbit, budget)
+        tests_at[max(map(max, transitions))].append(searches[i].feasible)
+    ends_at = max(end_left, end_right)
 
-    search_list = list(searches.values())
-    for valuation in product(range(1, n + 1), repeat=classes):
-        if valuation[end_left] == valuation[end_right]:
-            continue
-        for search in search_list:
-            if not search.feasible(valuation):
+    # When class b is the target of a transition (a, b) with a < b, a
+    # nonempty word maps v_a to v_b, so b takes its values only from the
+    # orbit of the point v_a.  Point orbits are computed when first needed.
+    points = range(1, n + 1)
+    maps = [g.map for g in gens]
+    point_orbits: dict[int, list[int]] = {}
+    valuation = [0] * classes
+
+    def point_orbit(p: int) -> list[int]:
+        """The points p·w for nonempty words w, ascending."""
+        hit = point_orbits.get(p)
+        if hit is None:
+            seen = {m[p - 1] for m in maps}
+            todo = list(seen)
+            for q in todo:
+                for m in maps:
+                    r = m[q - 1]
+                    if r not in seen:
+                        seen.add(r)
+                        todo.append(r)
+            hit = point_orbits[p] = sorted(seen)
+        return hit
+
+    def values(depth: int) -> Iterator[int]:
+        """Candidate values of class ``depth``, ascending."""
+        allowed = points
+        for a in sources[depth]:
+            orbit_a = point_orbit(valuation[a])
+            if allowed is points:
+                allowed = orbit_a
+            else:
+                allowed = [q for q in allowed if q in orbit_a]
+        return iter(allowed)
+
+    # Depth-first over the classes in index order: the valuations that pass
+    # every test are met in the lexicographic order of
+    # product(range(1, n + 1), repeat=classes), so the first counterexample
+    # is the same as a full sweep's.
+    stack = [values(0)]
+    while stack:
+        depth = len(stack) - 1
+        for value in stack[-1]:
+            valuation[depth] = value
+            if (depth == ends_at
+                    and valuation[end_left] == valuation[end_right]):
+                continue
+            for feasible in tests_at[depth]:
+                if not feasible(valuation):
+                    break
+            else:
                 break
         else:
-            assignment = []
-            for i in range(1, qid.variables + 1):
-                if i in searches:
-                    word = searches[i].witness_word(valuation)
-                else:
-                    word = (1,)
-                assignment.append({
-                    "var": i,
-                    "word": list(word),
-                    "idempotent_substitution": i in qid.idempotent_vars,
-                })
-            witness = {
-                "kind": "quasi-identity-counterexample",
-                "identity": qid.render(),
-                "boundary_left": [valuation[slot_class[s]]
-                                  for s in range(0, l + 1)],
-                "boundary_right": [valuation[slot_class[s]]
-                                   for s in range(l + 1, slots)],
-                "assignment": assignment,
-                "note": ("constrained variables stand for the idempotent "
-                         "power of the reported word's element"),
-            }
-            return rb.false(witness)
+            stack.pop()
+            continue
+        if depth + 1 < classes:
+            stack.append(values(depth + 1))
+            continue
+        assignment = []
+        for i in range(1, qid.variables + 1):
+            if i in searches:
+                word = searches[i].witness_word(valuation)
+            else:
+                word = (1,)
+            assignment.append({
+                "var": i,
+                "word": list(word),
+                "idempotent_substitution": i in qid.idempotent_vars,
+            })
+        l = len(qid.lhs)
+        witness = {
+            "kind": "quasi-identity-counterexample",
+            "identity": qid.render(),
+            "boundary_left": [valuation[c] for c in slot_class[:l + 1]],
+            "boundary_right": [valuation[c] for c in slot_class[l + 1:]],
+            "assignment": assignment,
+            "note": ("constrained variables stand for the idempotent "
+                     "power of the reported word's element"),
+        }
+        return rb.false(witness)
     return rb.true()
 
 

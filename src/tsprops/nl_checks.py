@@ -1,14 +1,15 @@
 """Reachability-based property checkers.
 
 Each property here is characterized by the existence (or absence) of paths in
-the transformation graph or in its componentwise action on point tuples, so
-every check reduces to breadth-first search and yields a replayable witness.
+the transformation graph, in its componentwise action on point tuples, or in
+its action on (image, point pair) states, so every check reduces to
+breadth-first search and yields a replayable witness.
 """
 
 from __future__ import annotations
 
 from .core import GeneratorSet, fixed_points
-from .errors import PreconditionError
+from .errors import PreconditionError, StateBudgetExceeded
 from .graph import (STATE_BUDGET, has_cycle, multi_tuple_reachability,
                     transformation_graph, tuple_reachability,
                     undirected_components)
@@ -135,15 +136,55 @@ def is_completely_regular(gens: GeneratorSet,
     """Completely regular iff no element collapses two points of its own image.
 
     The violating pattern is a word w and points p, q, u, v with p·w = u,
-    q·w = v, u ≠ v and u·w = v·w; for each ordered pair (u, v) one
-    multi-source search over point quadruples decides it.
+    q·w = v, u ≠ v and u·w = v·w.  Points p and q with p·w = u and q·w = v
+    exist iff u and v both lie in im(w), so the ordered pair (u, v) is
+    violated iff some nonempty word w reaches a state
+    (im(w), u·w, v·w) = (A, x, y) with x = y and u, v ∈ A.  A generator g
+    takes the state of w to the state of w·g, since im(w·g) = im(w)·g, so a
+    breadth-first search from the states (im(g), u·g, v·g) of the
+    generators meets the state of every nonempty word and no other.  Image
+    successors are memoised across pairs.
+
+    The pattern is symmetric under swapping (p, u) with (q, v), so (v, u)
+    is violated iff (u, v) is, and the first violated pair in the order
+    (1, 2), (1, 3), .., (2, 1), .. has u < v; only those pairs are searched.
+    The witness comes from one multi-source search over the point
+    quadruples (p, q, u, v) of the first violated pair: the shortest word,
+    with the earliest (p, q).  A pair whose state search holds more than
+    ``budget`` states is decided by that quadruple search too.
     """
     rb = ReportBuilder("completely-regular", gens, "structural")
     n = gens.degree
+    if n > 1 and n ** 4 > budget:
+        raise StateBudgetExceeded(n ** 4, budget)
     points = range(1, n + 1)
+    maps = [(0,) + g.map for g in gens]
+    starts = [(frozenset(g.map), m) for g, m in zip(gens, maps)]
+    image_steps: dict[frozenset[int], list[frozenset[int]]] = {}
+
+    def collapses(u: int, v: int) -> bool | None:
+        """Whether (u, v) is violated; None past ``budget`` states."""
+        queue = [(image, m[u], m[v]) for image, m in starts]
+        seen = set(queue)
+        for image, x, y in queue:
+            if x == y and u in image and v in image:
+                return True
+            if len(seen) > budget:
+                return None
+            steps = image_steps.get(image)
+            if steps is None:
+                steps = image_steps[image] = [
+                    frozenset(map(m.__getitem__, image)) for m in maps]
+            for nxt, m in zip(steps, maps):
+                state = (nxt, m[x], m[y])
+                if state not in seen:
+                    seen.add(state)
+                    queue.append(state)
+        return False
+
     for u in points:
-        for v in points:
-            if u == v:
+        for v in range(u + 1, n + 1):
+            if collapses(u, v) is False:
                 continue
             sources = [(p, q, u, v) for p in points for q in points]
 
@@ -167,6 +208,14 @@ def is_regular_commutative(gens: GeneratorSet,
     if not is_commutative(gens).verdict:
         raise PreconditionError(
             "this regularity check applies only to commutative semigroups")
+    return regular_given_commutative(gens, budget)
+
+
+def regular_given_commutative(gens: GeneratorSet,
+                              budget: int = STATE_BUDGET) -> PropertyReport:
+    """``is_regular_commutative`` for a caller that has already found the
+    semigroup commutative: the ``regular`` report of the completely-regular
+    search, without testing commutativity again."""
     inner = is_completely_regular(gens, budget)
     rb = ReportBuilder("regular", gens, "structural")
     return rb.done(inner.verdict, inner.witness)

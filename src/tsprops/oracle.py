@@ -329,10 +329,30 @@ def _word_between(table: ElementTable, src: int, dst: int) -> tuple[int, ...]:
     raise RuntimeError("no connecting word; this is a bug")
 
 
-def _pair_products(rows: np.ndarray) -> np.ndarray:
-    """All pairwise products: out[i, j] is row i followed by row j."""
+def _pair_products(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """All pairwise products: out[i, j] is first[i] followed by then[j]."""
+    j = np.arange(then.shape[0])
+    return then[j[np.newaxis, :, np.newaxis], first[:, np.newaxis, :]]
+
+
+def _first_bad_idempotent_pair(table, bad_rows) -> tuple[int, int] | None:
+    """The first (i, j), in row-major order, at which ``bad_rows`` flags the
+    pair of idempotents (i, j), as positions in ``idempotent_indices``.
+
+    ``bad_rows(block, rows)`` gets the idempotent rows ``block`` (a slice of
+    ``rows``) and returns a boolean array over ``block`` x ``rows``.  Blocks
+    go in order and hold at most len(table) // e rows each, so that their
+    pairwise products hold no more entries than the table itself.
+    """
+    rows = table.maps[table.idempotent_indices]
     e = rows.shape[0]
-    return rows[np.arange(e)[np.newaxis, :, np.newaxis], rows[:, np.newaxis, :]]
+    size = max(1, len(table) // e)
+    for lo in range(0, e, size):
+        hits = np.argwhere(bad_rows(rows[lo:lo + size], rows))
+        if hits.size:
+            i, j = (int(x) for x in hits[0])
+            return lo + i, j
+    return None
 
 
 def _check_commutative(table):
@@ -439,12 +459,14 @@ def _check_group(table):
 
 
 def _check_idempotents_commute(table):
-    rows = table.maps[table.idempotent_indices]
-    prods = _pair_products(rows)
-    bad = (prods != prods.swapaxes(0, 1)).any(axis=2)
-    hits = np.argwhere(bad)
-    if hits.size:
-        i, j = (int(x) for x in hits[0])
+    def bad_rows(block, rows):
+        after = _pair_products(block, rows)    # e_i . e_j
+        before = _pair_products(rows, block)   # e_j . e_i
+        return (after != before.swapaxes(0, 1)).any(axis=2)
+
+    hit = _first_bad_idempotent_pair(table, bad_rows)
+    if hit is not None:
+        i, j = hit
         return Verdict.FALSE, {
             "kind": "non-commuting-idempotents",
             "left": table.describe(int(table.idempotent_indices[i])),
@@ -454,15 +476,14 @@ def _check_idempotents_commute(table):
 
 
 def _check_orthodox(table):
-    rows = table.maps[table.idempotent_indices]
-    prods = _pair_products(rows)
-    e = rows.shape[0]
-    flat = prods.reshape(e * e, -1)
-    sq = _compose_rows(flat, flat)
-    bad = (sq != flat).any(axis=1).reshape(e, e)
-    hits = np.argwhere(bad)
-    if hits.size:
-        i, j = (int(x) for x in hits[0])
+    def bad_rows(block, rows):
+        flat = _pair_products(block, rows).reshape(-1, rows.shape[1])
+        bad = (_compose_rows(flat, flat) != flat).any(axis=1)
+        return bad.reshape(block.shape[0], rows.shape[0])
+
+    hit = _first_bad_idempotent_pair(table, bad_rows)
+    if hit is not None:
+        i, j = hit
         return Verdict.FALSE, {
             "kind": "non-idempotent-product",
             "left": table.describe(int(table.idempotent_indices[i])),

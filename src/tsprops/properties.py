@@ -38,9 +38,9 @@ def _identities_report(gens: GeneratorSet, side: str) -> PropertyReport:
 def _regular_structural(gens: GeneratorSet, cap: int) -> PropertyReport:
     # A commutative semigroup is regular exactly when it is completely
     # regular, which the graph route decides; otherwise fall back to the
-    # enumerating search.
+    # enumerating search.  Commutativity is tested once, here.
     if fo_checks.is_commutative(gens).verdict:
-        return nl_checks.is_regular_commutative(gens)
+        return nl_checks.regular_given_commutative(gens)
     return pspace_search.is_regular_semigroup(gens, cap)
 
 

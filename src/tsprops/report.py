@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import GeneratorSet
-from .formats import instance_digest
+from .formats import cached_instance_digest
 
 
 class Verdict(str, Enum):
@@ -49,7 +49,7 @@ class ReportBuilder:
     def __init__(self, prop: str, gens: GeneratorSet, engine: str):
         self.property = prop
         self.engine = engine
-        self._digest = instance_digest(gens)
+        self._digest = cached_instance_digest(gens)
         self._start = time.perf_counter()
 
     def done(self, verdict: Verdict, witness: dict | None = None) -> PropertyReport:

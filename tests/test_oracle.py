@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import full_monoid
+from tsprops.crosscheck import exhaustive_generator_sets
 from tsprops.core import (
     GeneratorSet,
     Transformation,
@@ -288,3 +291,71 @@ def test_weak_inverse_exponent_bulk():
         table = enumerate_semigroup(rand_gens(rng))
         ok, bad = weak_inverse_exponent_check(table)
         assert ok, table.describe(bad)
+
+
+def commuting_idempotents(k):
+    """<e_1..e_k> on 2k points, e_i mapping 2i to 2i - 1: 2^k - 1 commuting
+    idempotents and nothing else."""
+    maps = []
+    for i in range(1, k + 1):
+        m = list(range(1, 2 * k + 1))
+        m[2 * i - 1] = 2 * i - 1
+        maps.append(tuple(m))
+    return GeneratorSet.from_maps(maps)
+
+
+def unblocked_first_pair(table, key):
+    """The first failing pair of idempotents from the whole e x e x n table
+    of pairwise products at once."""
+    rows = table.maps[table.idempotent_indices]
+    e = rows.shape[0]
+    prods = rows[np.arange(e)[np.newaxis, :, np.newaxis], rows[:, np.newaxis, :]]
+    if key == "idempotents_commute":
+        bad = (prods != prods.swapaxes(0, 1)).any(axis=2)
+    else:
+        flat = prods.reshape(e * e, -1)
+        square = np.take_along_axis(flat, flat, axis=1)
+        bad = (square != flat).any(axis=1).reshape(e, e)
+    hits = np.argwhere(bad)
+    return tuple(int(x) for x in hits[0]) if hits.size else None
+
+
+def test_pairwise_idempotent_checks_match_the_unblocked_table():
+    rng = random.Random(35)
+    sets = [g for n in (1, 2, 3) for g in exhaustive_generator_sets(n, 2)]
+    sets += [rand_gens(rng, n_max=5) for _ in range(300)]
+    sets += [commuting_idempotents(k) for k in range(1, 7)]
+    multi_block = 0
+    for gens in sets:
+        table = enumerate_semigroup(gens)
+        e = len(table.idempotent_indices)
+        multi_block += e > len(table) // e
+        for key, kind in (("idempotents_commute", "non-commuting-idempotents"),
+                          ("orthodox", "non-idempotent-product")):
+            report = definitional_check(table, key)
+            pair = unblocked_first_pair(table, key)
+            if pair is None:
+                assert report.verdict.value == "TRUE", (gens, key)
+                continue
+            left, right = (table.describe(int(table.idempotent_indices[x]))
+                           for x in pair)
+            assert report.witness == {"kind": kind, "left": left,
+                                      "right": right}, (gens, key)
+    assert multi_block > 100
+
+
+def test_pairwise_idempotent_checks_stay_within_a_few_tables():
+    # 1023 elements, all idempotent: the unblocked products held
+    # 1023 x 1023 x 20 entries, over 1500 times the table.
+    table = enumerate_semigroup(commuting_idempotents(10))
+    assert len(table) == len(table.idempotent_indices) == 1023
+    for key in ("idempotents_commute", "orthodox", "clifford"):
+        definitional_check(table, key)   # fill the table's cached arrays
+        tracemalloc.start()
+        try:
+            report = definitional_check(table, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict.value == "TRUE"
+        assert peak < 16 * table.maps.nbytes, (key, peak)
