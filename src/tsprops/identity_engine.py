@@ -28,7 +28,8 @@ Three devices keep the enumeration honest but small:
   once its highest class is bound, the end classes once both are.  A class
   b that is the target of a pair (a, b) with a < b takes its values only
   from the orbit of the bound point v_a, because a nonempty word maps v_a
-  to v_b.  The surviving valuations are met in the lexicographic order of
+  to v_b; that orbit is the memoised orbit of the 1-tuple (v_a,).  The
+  surviving valuations are met in the lexicographic order of
   a full sweep, so the first counterexample, and the witness built from
   it, are the ones the full sweep would give.
 """
@@ -331,9 +332,9 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
 
     # When class b is the target of a transition (a, b) with a < b, a
     # nonempty word maps v_a to v_b, so b takes its values only from the
-    # orbit of the point v_a.  Point orbits are computed when first needed.
+    # orbit of the point v_a, the 1-tuple orbit of (v_a,), sorted when first
+    # needed.
     points = range(1, n + 1)
-    maps = [g.map for g in gens]
     point_orbits: dict[int, list[int]] = {}
     valuation = [0] * classes
 
@@ -341,15 +342,7 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
         """The points p·w for nonempty words w, ascending."""
         hit = point_orbits.get(p)
         if hit is None:
-            seen = {m[p - 1] for m in maps}
-            todo = list(seen)
-            for q in todo:
-                for m in maps:
-                    r = m[q - 1]
-                    if r not in seen:
-                        seen.add(r)
-                        todo.append(r)
-            hit = point_orbits[p] = sorted(seen)
+            hit = point_orbits[p] = sorted(q for (q,) in orbit((p,)))
         return hit
 
     def values(depth: int) -> Iterator[int]:

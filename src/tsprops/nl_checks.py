@@ -142,39 +142,55 @@ def is_completely_regular(gens: GeneratorSet,
     (im(w), u·w, v·w) = (A, x, y) with x = y and u, v ∈ A.  A generator g
     takes the state of w to the state of w·g, since im(w·g) = im(w)·g, so a
     breadth-first search from the states (im(g), u·g, v·g) of the
-    generators meets the state of every nonempty word and no other.  Image
-    successors are memoised across pairs.
+    generators meets the state of every nonempty word and no other.
 
     The pattern is symmetric under swapping (p, u) with (q, v), so (v, u)
     is violated iff (u, v) is, and the first violated pair in the order
     (1, 2), (1, 3), .., (2, 1), .. has u < v; only those pairs are searched.
     The witness comes from one multi-source search over the point
     quadruples (p, q, u, v) of the first violated pair: the shortest word,
-    with the earliest (p, q).  A pair whose state search holds more than
-    ``budget`` states is decided by that quadruple search too.
+    with the earliest (p, q).
+
+    Each distinct image is stored once, with its successors, for all pairs.
+    A pair's state search stops once its states plus the points of the
+    stored images exceed n**4, the quadruple search's own bound, and the
+    quadruple search then decides the pair; so no pair holds more than
+    about n**4 states or image points in either search.
     """
     rb = ReportBuilder("completely-regular", gens, "structural")
     n = gens.degree
-    if n > 1 and n ** 4 > budget:
-        raise StateBudgetExceeded(n ** 4, budget)
+    limit = n ** 4
+    if n > 1 and limit > budget:
+        raise StateBudgetExceeded(limit, budget)
     points = range(1, n + 1)
     maps = [(0,) + g.map for g in gens]
-    starts = [(frozenset(g.map), m) for g, m in zip(gens, maps)]
+    canon: dict[frozenset[int], frozenset[int]] = {}
+    starts = []
+    for g, m in zip(gens, maps):
+        image = frozenset(g.map)
+        starts.append((canon.setdefault(image, image), m))
+    cells = sum(map(len, canon))    # points held by the stored images
     image_steps: dict[frozenset[int], list[frozenset[int]]] = {}
 
     def collapses(u: int, v: int) -> bool | None:
-        """Whether (u, v) is violated; None past ``budget`` states."""
+        """Whether (u, v) is violated; None past the ``limit``."""
+        nonlocal cells
         queue = [(image, m[u], m[v]) for image, m in starts]
         seen = set(queue)
         for image, x, y in queue:
             if x == y and u in image and v in image:
                 return True
-            if len(seen) > budget:
+            if len(seen) + cells > limit:
                 return None
             steps = image_steps.get(image)
             if steps is None:
-                steps = image_steps[image] = [
-                    frozenset(map(m.__getitem__, image)) for m in maps]
+                steps = image_steps[image] = []
+                for m in maps:
+                    nxt = frozenset(map(m.__getitem__, image))
+                    stored = canon.setdefault(nxt, nxt)
+                    if stored is nxt:
+                        cells += len(nxt)
+                    steps.append(stored)
             for nxt, m in zip(steps, maps):
                 state = (nxt, m[x], m[y])
                 if state not in seen:
@@ -208,14 +224,6 @@ def is_regular_commutative(gens: GeneratorSet,
     if not is_commutative(gens).verdict:
         raise PreconditionError(
             "this regularity check applies only to commutative semigroups")
-    return regular_given_commutative(gens, budget)
-
-
-def regular_given_commutative(gens: GeneratorSet,
-                              budget: int = STATE_BUDGET) -> PropertyReport:
-    """``is_regular_commutative`` for a caller that has already found the
-    semigroup commutative: the ``regular`` report of the completely-regular
-    search, without testing commutativity again."""
     inner = is_completely_regular(gens, budget)
     rb = ReportBuilder("regular", gens, "structural")
     return rb.done(inner.verdict, inner.witness)

@@ -335,23 +335,30 @@ def _pair_products(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     return then[j[np.newaxis, :, np.newaxis], first[:, np.newaxis, :]]
 
 
-def _first_bad_idempotent_pair(table, bad_rows) -> tuple[int, int] | None:
-    """The first (i, j), in row-major order, at which ``bad_rows`` flags the
+def _first_bad_idempotent_pair(table, bad_pairs,
+                               symmetric: bool) -> tuple[int, int] | None:
+    """The first (i, j), in row-major order, at which ``bad_pairs`` flags the
     pair of idempotents (i, j), as positions in ``idempotent_indices``.
 
-    ``bad_rows(block, rows)`` gets the idempotent rows ``block`` (a slice of
-    ``rows``) and returns a boolean array over ``block`` x ``rows``.  Blocks
-    go in order and hold at most len(table) // e rows each, so that their
-    pairwise products hold no more entries than the table itself.
+    ``bad_pairs(block, cols)`` gets two runs of idempotent rows and returns a
+    boolean array over ``block`` x ``cols``.  Blocks go in order and hold at
+    most len(table) // e rows each, so that their pairwise products hold no
+    more entries than the table itself.
+
+    A ``symmetric`` relation flags (j, i) whenever it flags (i, j), so its
+    first flagged pair has i <= j: a pair with j < i would put (j, i) in an
+    earlier row.  Block rows i >= lo are then compared only with the
+    columns j >= lo, which halves the products.
     """
     rows = table.maps[table.idempotent_indices]
     e = rows.shape[0]
     size = max(1, len(table) // e)
     for lo in range(0, e, size):
-        hits = np.argwhere(bad_rows(rows[lo:lo + size], rows))
+        start = lo if symmetric else 0
+        hits = np.argwhere(bad_pairs(rows[lo:lo + size], rows[start:]))
         if hits.size:
             i, j = (int(x) for x in hits[0])
-            return lo + i, j
+            return lo + i, start + j
     return None
 
 
@@ -459,12 +466,12 @@ def _check_group(table):
 
 
 def _check_idempotents_commute(table):
-    def bad_rows(block, rows):
-        after = _pair_products(block, rows)    # e_i . e_j
-        before = _pair_products(rows, block)   # e_j . e_i
+    def bad_pairs(block, cols):
+        after = _pair_products(block, cols)    # e_i . e_j
+        before = _pair_products(cols, block)   # e_j . e_i
         return (after != before.swapaxes(0, 1)).any(axis=2)
 
-    hit = _first_bad_idempotent_pair(table, bad_rows)
+    hit = _first_bad_idempotent_pair(table, bad_pairs, symmetric=True)
     if hit is not None:
         i, j = hit
         return Verdict.FALSE, {
@@ -476,12 +483,12 @@ def _check_idempotents_commute(table):
 
 
 def _check_orthodox(table):
-    def bad_rows(block, rows):
-        flat = _pair_products(block, rows).reshape(-1, rows.shape[1])
+    def bad_pairs(block, cols):
+        flat = _pair_products(block, cols).reshape(-1, cols.shape[1])
         bad = (_compose_rows(flat, flat) != flat).any(axis=1)
-        return bad.reshape(block.shape[0], rows.shape[0])
+        return bad.reshape(block.shape[0], cols.shape[0])
 
-    hit = _first_bad_idempotent_pair(table, bad_rows)
+    hit = _first_bad_idempotent_pair(table, bad_pairs, symmetric=False)
     if hit is not None:
         i, j = hit
         return Verdict.FALSE, {

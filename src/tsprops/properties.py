@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 from . import fo_checks, identity_engine, nl_checks, pspace_search
 from .core import GeneratorSet
+from .errors import PreconditionError
 from .identities_enum import left_identities, right_identities
 from .report import PropertyReport, ReportBuilder
 
@@ -38,10 +39,11 @@ def _identities_report(gens: GeneratorSet, side: str) -> PropertyReport:
 def _regular_structural(gens: GeneratorSet, cap: int) -> PropertyReport:
     # A commutative semigroup is regular exactly when it is completely
     # regular, which the graph route decides; otherwise fall back to the
-    # enumerating search.  Commutativity is tested once, here.
-    if fo_checks.is_commutative(gens).verdict:
-        return nl_checks.regular_given_commutative(gens)
-    return pspace_search.is_regular_semigroup(gens, cap)
+    # enumerating search.  The graph route tests commutativity itself.
+    try:
+        return nl_checks.is_regular_commutative(gens)
+    except PreconditionError:
+        return pspace_search.is_regular_semigroup(gens, cap)
 
 
 REGISTRY: dict[str, Routes] = {

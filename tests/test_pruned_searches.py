@@ -20,6 +20,7 @@ from tsprops.graph import (STATE_BUDGET, multi_tuple_reachability, reach_set,
                            tuple_successors)
 from tsprops.identity_engine import (PRESETS, _UnionFind, _VariableSearch,
                                      models, parse_quasi_identity)
+from tsprops import nl_checks
 from tsprops.nl_checks import is_completely_regular
 from tsprops.reductions import (DFA, InputDigraph, dfa_emptiness_to_zero,
                                 digraph_to_semigroup)
@@ -203,3 +204,34 @@ def test_completely_regular_budget():
         is_completely_regular(gens, budget=10)
     assert outcome(is_completely_regular, gens, 10) == outcome(
         reference_completely_regular, gens, 10)
+
+
+def point_semilattice(n):
+    """<e_1..e_{n-1}>, e_i mapping i to n: 2^(n-1) images."""
+    return [tuple(n if p == i else p for p in range(1, n + 1))
+            for i in range(1, n)]
+
+
+@pytest.mark.parametrize("extra, pairs", [
+    ((), 78),
+    (((1, 2, 3, 10, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+      (1, 2, 5, 4, 3, 6, 7, 8, 9, 5, 11, 12, 13)), 25),
+])
+def test_completely_regular_past_the_state_limit(monkeypatch, extra, pairs):
+    # At degree 13 the images alone hold about 25 000 points, so every pair
+    # state search passes n**4 = 28 561 and hands its pair to the quadruple
+    # search: all 78 pairs of the semilattice, which is completely regular,
+    # and with the two extra maps the 25 pairs up to (3, 5), whose witness
+    # word has length 5.
+    gens = GeneratorSet.from_maps(point_semilattice(13) + list(extra))
+    searched = []
+
+    def quadruple_search(gens, sources, *args, **kwargs):
+        searched.append(sources[0][2:])
+        return multi_tuple_reachability(gens, sources, *args, **kwargs)
+
+    monkeypatch.setattr(nl_checks, "multi_tuple_reachability",
+                        quadruple_search)
+    assert (outcome(is_completely_regular, gens)
+            == outcome(reference_completely_regular, gens))
+    assert len(searched) == pairs
