@@ -3,17 +3,25 @@
 The transformation graph of a generator set has an edge ``p -> q`` whenever
 some generator maps ``p`` to ``q``.
 
-Every reachability question about the semigroup's componentwise action on
-tuples of points goes through one breadth-first search, ``_bfs``.  It is
-keyed by the point tuples themselves: a generator ``g`` steps ``t`` to
-``tuple(map(((0,) + g.map).__getitem__, t))``, and the dict of back-pointers
-is the only visited set, so a search holds the tuples it reaches and never
-the whole space of ``n ** d`` tuples.  ``multi_tuple_reachability`` stops at
-the first target and reads its word off the back-pointers; words are over
-1-indexed generator indices, canonicalised shortest-first and then
-lexicographically.  ``reach_set`` runs the search to exhaustion and returns
-the orbit ``source·S``; a caller asking for many orbits passes a memoised
-successor function, as ``identity_engine`` does.
+S acts on tuples of points componentwise, and S itself is the orbit of the
+identity tuple ``(1, .., n)`` under that action, so every ordered search
+here, over elements or over point tuples, is one breadth-first search,
+``search``.  A generator ``g`` steps ``t`` to
+``tuple(map(((0,) + g.map).__getitem__, t))``; sources are taken in the
+order given and each tuple's successors in generator order, so the path
+back to a source spells the shortest word, and among those the
+lexicographically least by 1-indexed generator index.  The search stores
+only each tuple's parent, in a dict that is also its visited set, so it
+holds the tuples it reaches and never the whole space of ``n ** d``
+tuples.  ``trace`` rebuilds a word from the parents: each letter is the
+first generator mapping the parent to the child, and the source the first
+one with a generator mapping it to the path's first tuple, which is what
+the search took.
+
+``multi_tuple_reachability`` stops at the first target and traces its word.
+``reach_set`` is a plain closure, with no order and no words, over a
+successor function its caller may memoise, as ``identity_engine`` does.
+Every search reads ``STATE_BUDGET`` at call time.
 """
 
 from __future__ import annotations
@@ -151,58 +159,87 @@ def tuple_successors(gens: GeneratorSet) -> Successors:
     return successors
 
 
-def _bfs(sources: Sequence[tuple[int, ...]], successors: Successors,
-         back: dict) -> Iterator[tuple[int, ...]]:
+def search(gens: GeneratorSet, sources: Sequence[tuple[int, ...]],
+           parent: dict) -> Iterator[tuple[int, ...]]:
     """Yield each tuple reached from ``sources`` by a nonempty word, once, in
-    breadth-first order: sources in the order given, each tuple's successors
-    in generator order.  The path back to a source is therefore the
-    shortest word, and among those the lexicographically least.
+    breadth-first order: sources in the order given, each tuple's
+    successors in generator order.
 
-    ``back`` is the visited set: before a tuple is yielded it maps it to
-    ``(previous tuple or None, generator index, source index)``.
+    ``parent`` is the visited set: before a tuple is yielded it maps it to
+    the tuple it was reached from, or to None when a source reached it.
     """
+    # (0,) + g.map is g shifted to index by point.
+    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
     queue: deque[tuple[int, ...]] = deque()
-    for si, s in enumerate(sources):
-        for c, t in enumerate(successors(s)):
-            if t not in back:
-                back[t] = (None, c, si)
+    for s in sources:
+        for step in steps:
+            t = tuple(map(step, s))
+            if t not in parent:
+                parent[t] = None
                 yield t
                 queue.append(t)
     while queue:
         cur = queue.popleft()
-        for c, t in enumerate(successors(cur)):
-            if t not in back:
-                back[t] = (cur, c, 0)
+        for step in steps:
+            t = tuple(map(step, cur))
+            if t not in parent:
+                parent[t] = cur
                 yield t
                 queue.append(t)
+
+
+def trace(gens: GeneratorSet, sources: Sequence[tuple[int, ...]],
+          parent: dict, t: tuple[int, ...]
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(source, word)`` of ``t`` in the search of ``sources`` that filled
+    ``parent``: the canonical word, shortest and then lexicographically
+    least, and the first source it is shortest from."""
+    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
+
+    def letter(prev: tuple[int, ...], cur: tuple[int, ...]) -> int | None:
+        """The first generator mapping ``prev`` to ``cur``, 1-indexed."""
+        for c, step in enumerate(steps, start=1):
+            if tuple(map(step, prev)) == cur:
+                return c
+        return None
+
+    word = []
+    while (prev := parent[t]) is not None:
+        word.append(letter(prev, t))
+        t = prev
+    for source in sources:
+        if (c := letter(source, t)) is not None:
+            word.append(c)
+            return source, tuple(reversed(word))
+    raise ValueError("the path does not start at a source")
 
 
 def reach_set(source: tuple[int, ...],
               successors: Successors) -> frozenset[tuple[int, ...]]:
     """Every tuple reached from ``source`` by a nonempty word: the orbit
     ``source·S``, so at most |S| tuples."""
-    back: dict = {}
-    for _ in _bfs((source,), successors, back):
-        pass
-    return frozenset(back)
+    reached: set[tuple[int, ...]] = set()
+    todo = [source]
+    while todo:
+        for t in successors(todo.pop()):
+            if t not in reached:
+                reached.add(t)
+                todo.append(t)
+    return frozenset(reached)
 
 
 def multi_tuple_reachability(
     gens: GeneratorSet,
     sources: Iterable[Sequence[int]],
     targets: Iterable[Sequence[int]] | Callable[[tuple[int, ...]], bool],
-    min_length: int = 1,
-    budget: int = STATE_BUDGET,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Shortest word moving some source tuple into the target set, componentwise.
+    """Shortest nonempty word moving some source tuple into the target set,
+    componentwise.
 
     Returns ``(source, word)`` or None.  Among shortest words the earliest
     source in lexicographic order wins, and the word itself is the
-    lexicographically least by generator index.  ``min_length`` 0 permits the
-    empty word; 1 demands at least one generator application.
+    lexicographically least by generator index.
     """
-    if min_length not in (0, 1):
-        raise ValueError("min_length must be 0 or 1")
     n = gens.degree
     srcs = sorted(set(tuple(s) for s in sources))
     if not srcs:
@@ -217,8 +254,8 @@ def multi_tuple_reachability(
             if not 1 <= q <= n:
                 raise ValueError(f"point {q} outside 1..{n}")
     n_states = n ** d
-    if n_states > budget:
-        raise StateBudgetExceeded(n_states, budget)
+    if n_states > STATE_BUDGET:
+        raise StateBudgetExceeded(n_states, STATE_BUDGET)
 
     if callable(targets):
         is_target = targets
@@ -229,22 +266,10 @@ def multi_tuple_reachability(
                 raise ValueError("target dimension differs from source dimension")
         is_target = tset.__contains__
 
-    if min_length == 0:
-        for s in srcs:
-            if is_target(s):
-                return s, ()
-
-    back: dict = {}
-    for hit in _bfs(srcs, tuple_successors(gens), back):
+    parent: dict = {}
+    for hit in search(gens, srcs, parent):
         if is_target(hit):
-            word = []
-            cur = hit
-            while True:
-                prev, c, si = back[cur]
-                word.append(c + 1)
-                if prev is None:
-                    return srcs[si], tuple(reversed(word))
-                cur = prev
+            return trace(gens, srcs, parent, hit)
     return None
 
 
@@ -252,9 +277,8 @@ def tuple_reachability(
     gens: GeneratorSet,
     start: Sequence[int],
     targets: Iterable[Sequence[int]] | Callable[[tuple[int, ...]], bool],
-    min_length: int = 1,
-    budget: int = STATE_BUDGET,
 ) -> tuple[int, ...] | None:
-    """Canonical shortest word moving ``start`` into the target set, or None."""
-    hit = multi_tuple_reachability(gens, [start], targets, min_length, budget)
+    """Canonical shortest nonempty word moving ``start`` into the target
+    set, or None."""
+    hit = multi_tuple_reachability(gens, [start], targets)
     return None if hit is None else hit[1]

@@ -19,10 +19,10 @@ Three devices keep the enumeration honest but small:
 * Per-variable transition requirements are deduplicated to distinct
   (source class, target class) pairs.  A target tuple is feasible iff it lies
   in the source tuple's orbit under the componentwise action, which
-  ``graph.reach_set`` computes by the package's one tuple-keyed
-  breadth-first search.  Orbits are cached per source tuple, and each
-  tuple's successors are memoised, for the whole valuation search of one
-  ``models`` call.
+  ``graph.reach_set`` closes over a successor function memoised here.
+  Orbits are cached per source tuple, and each tuple's successors are
+  memoised, for the whole valuation search of one ``models`` call; only a
+  counterexample's words come from ``graph``'s ordered search.
 * Valuations are assigned depth-first, class by class in index order, and a
   partial valuation is abandoned as soon as it fails: a variable is tested
   once its highest class is bound, the end classes once both are.  A class
@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 from .core import GeneratorSet
 from .errors import ParseError, StateBudgetExceeded, UnknownPropertyError
-from .graph import (STATE_BUDGET, reach_set, tuple_reachability,
-                    tuple_successors)
+from . import graph
+from .graph import reach_set, tuple_reachability, tuple_successors
 from .report import PropertyReport, ReportBuilder
 
 _VARIABLE = re.compile(r"x([1-9])")
@@ -193,11 +193,11 @@ class _VariableSearch:
     """
 
     def __init__(self, gens: GeneratorSet, pairs: Sequence[tuple[int, int]],
-                 orbit, budget: int):
+                 orbit):
         self.gens = gens
         space = gens.degree ** len(pairs)
-        if space > budget:
-            raise StateBudgetExceeded(space, budget)
+        if space > graph.STATE_BUDGET:
+            raise StateBudgetExceeded(space, graph.STATE_BUDGET)
         self._source = _projection([s for s, _ in pairs])
         self._target = _projection([t for _, t in pairs])
         self._orbit = orbit
@@ -207,7 +207,7 @@ class _VariableSearch:
 
     def witness_word(self, valuation) -> tuple[int, ...]:
         word = tuple_reachability(self.gens, self._source(valuation),
-                                  {self._target(valuation)}, min_length=1)
+                                  {self._target(valuation)})
         if word is None:
             raise RuntimeError("feasible transition lost its word; this is a bug")
         return word
@@ -287,7 +287,6 @@ def _slot_classes(qid: QuasiIdentity) -> _Classes | None:
 
 
 def models(gens: GeneratorSet, qid: QuasiIdentity,
-           budget: int = STATE_BUDGET,
            property_name: str | None = None) -> PropertyReport:
     """TRUE iff every assignment (idempotent elements for constrained
     variables) makes the two words equal."""
@@ -297,8 +296,8 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
         return rb.true()
     n = gens.degree
     slot_class, classes, end_left, end_right, pairs, sources = merged
-    if n ** classes > budget:
-        raise StateBudgetExceeded(n ** classes, budget)
+    if n ** classes > graph.STATE_BUDGET:
+        raise StateBudgetExceeded(n ** classes, graph.STATE_BUDGET)
 
     # One models call memoises every tuple's successors and every source
     # tuple's orbit; an orbit depends on the tuple alone, not on the variable.
@@ -326,7 +325,7 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
     searches: dict[int, _VariableSearch] = {}
     tests_at: list[list] = [[] for _ in range(classes)]
     for i, transitions in pairs:
-        searches[i] = _VariableSearch(gens, transitions, orbit, budget)
+        searches[i] = _VariableSearch(gens, transitions, orbit)
         tests_at[max(map(max, transitions))].append(searches[i].feasible)
     ends_at = max(end_left, end_right)
 
@@ -404,23 +403,19 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
     return rb.true()
 
 
-def is_band(gens: GeneratorSet, budget: int = STATE_BUDGET) -> PropertyReport:
-    return models(gens, PRESETS["band"], budget, property_name="band")
+def is_band(gens: GeneratorSet) -> PropertyReport:
+    return models(gens, PRESETS["band"], property_name="band")
 
 
-def idempotents_commute(gens: GeneratorSet,
-                        budget: int = STATE_BUDGET) -> PropertyReport:
-    return models(gens, PRESETS["commuting_idempotents"], budget,
+def idempotents_commute(gens: GeneratorSet) -> PropertyReport:
+    return models(gens, PRESETS["commuting_idempotents"],
                   property_name="idempotents-commute")
 
 
-def idempotents_central(gens: GeneratorSet,
-                        budget: int = STATE_BUDGET) -> PropertyReport:
-    return models(gens, PRESETS["central_idempotents"], budget,
+def idempotents_central(gens: GeneratorSet) -> PropertyReport:
+    return models(gens, PRESETS["central_idempotents"],
                   property_name="idempotents-central")
 
 
-def is_orthodox(gens: GeneratorSet,
-                budget: int = STATE_BUDGET) -> PropertyReport:
-    return models(gens, PRESETS["orthodox"], budget,
-                  property_name="orthodox")
+def is_orthodox(gens: GeneratorSet) -> PropertyReport:
+    return models(gens, PRESETS["orthodox"], property_name="orthodox")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from .core import GeneratorSet, fixed_points
 from .errors import PreconditionError, StateBudgetExceeded
-from .graph import (STATE_BUDGET, has_cycle, multi_tuple_reachability,
-                    transformation_graph, tuple_reachability,
-                    undirected_components)
+from . import graph
+from .graph import (has_cycle, multi_tuple_reachability, transformation_graph,
+                    tuple_reachability, undirected_components)
 from .report import PropertyReport, ReportBuilder
 
 
@@ -20,13 +20,11 @@ def has_right_zero(gens: GeneratorSet) -> PropertyReport:
     """A right zero exists iff every two points in one (undirected) component
     of the transformation graph are collapsed by some element."""
     rb = ReportBuilder("right-zero", gens, "structural")
-    graph = transformation_graph(gens)
-    for comp in undirected_components(graph):
+    for comp in undirected_components(transformation_graph(gens)):
         for ai in range(len(comp)):
             for bi in range(ai + 1, len(comp)):
                 p, q = comp[ai], comp[bi]
-                word = tuple_reachability(
-                    gens, (p, q), lambda t: t[0] == t[1], min_length=1)
+                word = tuple_reachability(gens, (p, q), lambda t: t[0] == t[1])
                 if word is None:
                     return rb.false({"kind": "non-collapsible-pair",
                                      "pair": [p, q]})
@@ -43,7 +41,7 @@ def has_left_zero(gens: GeneratorSet) -> PropertyReport:
                          "fixed_points": []})
     fix_targets = {(f,) for f in fix}
     for q in range(1, gens.degree + 1):
-        word = tuple_reachability(gens, (q,), fix_targets, min_length=1)
+        word = tuple_reachability(gens, (q,), fix_targets)
         if word is None:
             return rb.false({"kind": "point-misses-fixed", "point": q,
                              "fixed_points": sorted(fix)})
@@ -75,8 +73,8 @@ def is_nilpotent(gens: GeneratorSet) -> PropertyReport:
         return rb.false(zero.witness)
     fix = fixed_points(gens)
     restrict = [q for q in range(1, gens.degree + 1) if q not in fix]
-    graph = transformation_graph(gens, restrict)
-    cyclic, cycle = has_cycle(graph, ignore_self_loops=False)
+    cyclic, cycle = has_cycle(transformation_graph(gens, restrict),
+                              ignore_self_loops=False)
     if cyclic:
         return rb.false({"kind": "graph-cycle", "vertices": "non-fixed",
                          "cycle": list(cycle)})
@@ -98,8 +96,7 @@ def nilpotency_degree_upper_bound(gens: GeneratorSet) -> int:
             "nilpotency degree bound is defined only for nilpotent semigroups")
     fix = fixed_points(gens)
     restrict = [q for q in range(1, gens.degree + 1) if q not in fix]
-    graph = transformation_graph(gens, restrict)
-    succ = graph.successors()
+    succ = transformation_graph(gens, restrict).successors()
     depth: dict[int, int] = {}
     for root in restrict:
         if root in depth:
@@ -123,16 +120,14 @@ def nilpotency_degree_upper_bound(gens: GeneratorSet) -> int:
 def is_r_trivial(gens: GeneratorSet) -> PropertyReport:
     """R-trivial iff every cycle of the transformation graph is a self-loop."""
     rb = ReportBuilder("r-trivial", gens, "structural")
-    graph = transformation_graph(gens)
-    found, cycle = has_cycle(graph, ignore_self_loops=True)
+    found, cycle = has_cycle(transformation_graph(gens), ignore_self_loops=True)
     if found:
         return rb.false({"kind": "graph-cycle", "vertices": "all",
                          "cycle": list(cycle)})
     return rb.true()
 
 
-def is_completely_regular(gens: GeneratorSet,
-                          budget: int = STATE_BUDGET) -> PropertyReport:
+def is_completely_regular(gens: GeneratorSet) -> PropertyReport:
     """Completely regular iff no element collapses two points of its own image.
 
     The violating pattern is a word w and points p, q, u, v with p·w = u,
@@ -160,8 +155,8 @@ def is_completely_regular(gens: GeneratorSet,
     rb = ReportBuilder("completely-regular", gens, "structural")
     n = gens.degree
     limit = n ** 4
-    if n > 1 and limit > budget:
-        raise StateBudgetExceeded(limit, budget)
+    if n > 1 and limit > graph.STATE_BUDGET:
+        raise StateBudgetExceeded(limit, graph.STATE_BUDGET)
     points = range(1, n + 1)
     maps = [(0,) + g.map for g in gens]
     canon: dict[frozenset[int], frozenset[int]] = {}
@@ -207,8 +202,7 @@ def is_completely_regular(gens: GeneratorSet,
             def is_target(t, _u=u, _v=v):
                 return t[0] == _u and t[1] == _v and t[2] == t[3]
 
-            hit = multi_tuple_reachability(gens, sources, is_target,
-                                           min_length=1, budget=budget)
+            hit = multi_tuple_reachability(gens, sources, is_target)
             if hit is not None:
                 (p, q, _, _), word = hit
                 return rb.false({"kind": "image-collapse", "p": p, "q": q,
@@ -216,26 +210,24 @@ def is_completely_regular(gens: GeneratorSet,
     return rb.true()
 
 
-def is_regular_commutative(gens: GeneratorSet,
-                           budget: int = STATE_BUDGET) -> PropertyReport:
+def is_regular_commutative(gens: GeneratorSet) -> PropertyReport:
     """For commutative semigroups, regular coincides with completely regular."""
     from .fo_checks import is_commutative
 
     if not is_commutative(gens).verdict:
         raise PreconditionError(
             "this regularity check applies only to commutative semigroups")
-    inner = is_completely_regular(gens, budget)
+    inner = is_completely_regular(gens)
     rb = ReportBuilder("regular", gens, "structural")
     return rb.done(inner.verdict, inner.witness)
 
 
-def is_clifford(gens: GeneratorSet,
-                budget: int = STATE_BUDGET) -> PropertyReport:
+def is_clifford(gens: GeneratorSet) -> PropertyReport:
     """Clifford iff completely regular with commuting idempotents."""
     from .identity_engine import idempotents_commute
 
     rb = ReportBuilder("clifford", gens, "structural")
-    cr = is_completely_regular(gens, budget)
+    cr = is_completely_regular(gens)
     if not cr.verdict:
         return rb.false(cr.witness)
     ic = idempotents_commute(gens)

@@ -1,10 +1,10 @@
 """Regularity of S, and witness search for regularizers, weak inverses and
 inverses.
 
-Every search here walks S through one enumerator: a breadth-first search
-over raw map tuples in canonical order (by word length, then
-lexicographically by generator index) that keeps each element's BFS parent
-and last letter, so a word is rebuilt only for an element that is reported.
+Every search here walks S as the orbit of the identity tuple under
+``graph.search``: raw map tuples in canonical order (by word length, then
+lexicographically by generator index), each stored with its parent only,
+so ``graph.trace`` rebuilds a word only for an element that is reported.
 On instances whose element count exceeds the cap the search is honest about
 giving up: callers receive an UNDECIDED outcome instead of a guess.
 
@@ -25,70 +25,30 @@ from typing import Callable, Iterator
 from .core import (DEFAULT_CAP, GeneratorSet, Transformation,
                    idempotent_power_exponent, power)
 from .errors import DegreeMismatchError, EnumerationCapExceeded
+from .graph import search, trace
 from .image_orbit import image_orbit
 from .report import PropertyReport, ReportBuilder
 
 Map = tuple[int, ...]
 
 
-class _CanonicalBFS:
-    """S as raw map tuples in canonical order.
+def _identity(gens: GeneratorSet) -> Map:
+    return tuple(range(1, gens.degree + 1))
 
-    Iterating yields each new map once, in canonical order, and raises
-    EnumerationCapExceeded as soon as more than ``cap`` distinct maps
-    appear.  The i-th map yielded is ``maps[i]``; ``parent[i]`` is the index
-    of the map it was reached from (-1 for a generator) and ``letter[i]``
-    the 1-indexed generator that reached it.
-    """
 
-    def __init__(self, gens: GeneratorSet, cap: int):
-        self.gens = gens
-        self.cap = cap
-        self.maps: list[Map] = []
-        self.parent: list[int] = []
-        self.letter: list[int] = []
+def _maps(gens: GeneratorSet, cap: int, parent: dict) -> Iterator[Map]:
+    """S as raw map tuples in canonical order, with each map's parent put
+    in ``parent``; raises EnumerationCapExceeded at the map after the
+    ``cap``-th."""
+    for count, t in enumerate(search(gens, [_identity(gens)], parent)):
+        if count == cap:
+            raise EnumerationCapExceeded(cap)
+        yield t
 
-    def __iter__(self) -> Iterator[Map]:
-        maps, parent, letter, cap = self.maps, self.parent, self.letter, self.cap
-        seen: set[Map] = set()
-        for i, g in enumerate(self.gens, start=1):
-            if g.map not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapExceeded(cap)
-                seen.add(g.map)
-                maps.append(g.map)
-                parent.append(-1)
-                letter.append(i)
-                yield g.map
-        # (0,) + g.map is g shifted to index by point: s then g is
-        # tuple(map(shifted.__getitem__, s)).
-        steps = [(i, ((0,) + g.map).__getitem__)
-                 for i, g in enumerate(self.gens, start=1)]
-        head = 0
-        while head < len(maps):
-            s = maps[head]
-            for i, then_g in steps:
-                t = tuple(map(then_g, s))
-                if t not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(cap)
-                    seen.add(t)
-                    maps.append(t)
-                    parent.append(head)
-                    letter.append(i)
-                    yield t
-            head += 1
 
-    def word(self, i: int) -> tuple[int, ...]:
-        """The canonical word of the i-th map."""
-        out = []
-        while i >= 0:
-            out.append(self.letter[i])
-            i = self.parent[i]
-        return tuple(reversed(out))
-
-    def element(self, i: int) -> tuple[Transformation, tuple[int, ...]]:
-        return Transformation(self.gens.degree, self.maps[i]), self.word(i)
+def _word(gens: GeneratorSet, parent: dict, t: Map) -> tuple[int, ...]:
+    """The canonical word of the map ``t``."""
+    return trace(gens, [_identity(gens)], parent, t)[1]
 
 
 def iter_elements(gens: GeneratorSet,
@@ -98,9 +58,9 @@ def iter_elements(gens: GeneratorSet,
     Raises EnumerationCapExceeded as soon as more than ``cap`` distinct
     elements appear.
     """
-    bfs = _CanonicalBFS(gens, cap)
-    for i, _ in enumerate(bfs):
-        yield bfs.element(i)
+    parent: dict = {}
+    for t in _maps(gens, cap, parent):
+        yield Transformation(gens.degree, t), _word(gens, parent, t)
 
 
 def _first(gens: GeneratorSet, s: Transformation, cap: int,
@@ -111,10 +71,10 @@ def _first(gens: GeneratorSet, s: Transformation, cap: int,
     if s.degree != gens.degree:
         raise DegreeMismatchError(
             f"target of degree {s.degree} in a semigroup of degree {gens.degree}")
-    bfs = _CanonicalBFS(gens, cap)
-    for i, t in enumerate(bfs):
+    parent: dict = {}
+    for t in _maps(gens, cap, parent):
         if hit(t):
-            return bfs.element(i)
+            return Transformation(gens.degree, t), _word(gens, parent, t)
     return None
 
 
@@ -182,14 +142,15 @@ def is_regular_semigroup(gens: GeneratorSet,
     is the witness.
     """
     rb = ReportBuilder("regular", gens, "structural")
-    bfs = _CanonicalBFS(gens, cap)
+    parent: dict = {}
     try:
-        maps = list(bfs)
+        for _ in _maps(gens, cap, parent):
+            pass
     except EnumerationCapExceeded:
         return rb.undecided({"kind": "enumeration-cap", "cap": cap})
     orbit = image_orbit(gens)
     regular_class: dict[tuple[Map, int], bool] = {}
-    for i, s in enumerate(maps):
+    for s in parent:    # S in canonical order
         first: dict[int, int] = {}
         labels = tuple([first.setdefault(x, len(first)) for x in s])
         comp = orbit.component[orbit.index[frozenset(s)]]
@@ -204,7 +165,7 @@ def is_regular_semigroup(gens: GeneratorSet,
         if not regular:
             return rb.false({"kind": "non-regular-element",
                              "element": {"map": list(s),
-                                         "word": list(bfs.word(i))}})
+                                         "word": list(_word(gens, parent, s))}})
     return rb.true()
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tsprops import graph
 from tsprops.core import GeneratorSet, apply_word
 from tsprops.errors import StateBudgetExceeded
 from tsprops.graph import (
@@ -93,9 +94,8 @@ def test_tuple_reachability_shortest_and_min_length():
     # single point: shortest word from 1 to 3 under a 3-cycle is two steps
     gens = GeneratorSet.from_maps([(2, 3, 1)])
     assert tuple_reachability(gens, (1,), [(3,)]) == (1, 1)
-    # min_length=1 forces a full loop even when start is already a target
-    assert tuple_reachability(gens, (1,), [(1,)], min_length=1) == (1, 1, 1)
-    assert tuple_reachability(gens, (1,), [(1,)], min_length=0) == ()
+    # words are nonempty: a full loop even when start is already a target
+    assert tuple_reachability(gens, (1,), [(1,)]) == (1, 1, 1)
     # unreachable
     gens2 = GeneratorSet.from_maps([(1, 1, 1)])
     assert tuple_reachability(gens2, (1,), [(2,)]) is None
@@ -160,10 +160,14 @@ def test_reachability_random_replay():
             assert tuple(apply_word(gens, q, word) for q in start) == target
 
 
-def test_state_budget():
+def test_state_budget(monkeypatch):
     gens = GeneratorSet.from_maps([(2, 3, 1)])
+    monkeypatch.setattr(graph, "STATE_BUDGET", 8)
     with pytest.raises(StateBudgetExceeded):
-        multi_tuple_reachability(gens, [(1, 1, 1)], [(2, 2, 2)], budget=8)
+        multi_tuple_reachability(gens, [(1, 1, 1)], [(2, 2, 2)])
+    monkeypatch.setattr(graph, "STATE_BUDGET", 27)
+    assert multi_tuple_reachability(gens, [(1, 1, 1)], [(2, 2, 2)]) == (
+        (1, 1, 1), (1,))
 
 
 def _elements(gens):

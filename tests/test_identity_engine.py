@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from tsprops import graph
 from tsprops.core import (
     GeneratorSet,
     Transformation,
@@ -154,10 +155,11 @@ def test_models_agrees_with_enumeration_random():
         assert structural == brute, (gens, qid.render())
 
 
-def test_models_budget():
+def test_models_budget(monkeypatch):
     gens = GeneratorSet.from_maps([(2, 3, 1), (1, 1, 2)])
+    monkeypatch.setattr(graph, "STATE_BUDGET", 3)
     with pytest.raises(StateBudgetExceeded):
-        models(gens, parse_quasi_identity("x1 x2 x3 = x3 x2 x1"), budget=3)
+        models(gens, parse_quasi_identity("x1 x2 x3 = x3 x2 x1"))
 
 
 def test_sugar_checkers_frozen():

@@ -16,8 +16,8 @@ import pytest
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.crosscheck import exhaustive_generator_sets, seeded_instances
 from tsprops.errors import StateBudgetExceeded
-from tsprops.graph import (STATE_BUDGET, multi_tuple_reachability, reach_set,
-                           tuple_successors)
+from tsprops import graph
+from tsprops.graph import multi_tuple_reachability, reach_set, tuple_successors
 from tsprops.identity_engine import (PRESETS, _UnionFind, _VariableSearch,
                                      models, parse_quasi_identity)
 from tsprops import nl_checks
@@ -35,7 +35,7 @@ USER_IDENTITIES = tuple(parse_quasi_identity(text) for text in (
 IDENTITIES = tuple(PRESETS.values()) + USER_IDENTITIES
 
 
-def reference_models(gens, qid, budget=STATE_BUDGET):
+def reference_models(gens, qid):
     """Every valuation of the slot classes, in lexicographic order."""
     rb = ReportBuilder("quasi-identity", gens, "structural")
     n = gens.degree
@@ -67,8 +67,8 @@ def reference_models(gens, qid, budget=STATE_BUDGET):
     roots = sorted({uf.find(s) for s in range(slots)})
     slot_class = [roots.index(uf.find(s)) for s in range(slots)]
     classes = len(roots)
-    if n ** classes > budget:
-        raise StateBudgetExceeded(n ** classes, budget)
+    if n ** classes > graph.STATE_BUDGET:
+        raise StateBudgetExceeded(n ** classes, graph.STATE_BUDGET)
     end_left, end_right = slot_class[last_left], slot_class[last_right]
 
     step = tuple_successors(gens)
@@ -84,7 +84,7 @@ def reference_models(gens, qid, budget=STATE_BUDGET):
         pairs = sorted({(slot_class[s], slot_class[t])
                         for s, t in occurrences[i]})
         if pairs:
-            searches[i] = _VariableSearch(gens, pairs, orbit, budget)
+            searches[i] = _VariableSearch(gens, pairs, orbit)
     for valuation in product(range(1, n + 1), repeat=classes):
         if valuation[end_left] == valuation[end_right]:
             continue
@@ -109,7 +109,7 @@ def reference_models(gens, qid, budget=STATE_BUDGET):
     return rb.true()
 
 
-def reference_completely_regular(gens, budget=STATE_BUDGET):
+def reference_completely_regular(gens):
     """One quadruple search per ordered pair (u, v), u != v."""
     rb = ReportBuilder("completely-regular", gens, "structural")
     points = range(1, gens.degree + 1)
@@ -120,8 +120,7 @@ def reference_completely_regular(gens, budget=STATE_BUDGET):
             sources = [(p, q, u, v) for p in points for q in points]
             hit = multi_tuple_reachability(
                 gens, sources,
-                lambda t: t[0] == u and t[1] == v and t[2] == t[3],
-                min_length=1, budget=budget)
+                lambda t: t[0] == u and t[1] == v and t[2] == t[3])
             if hit is not None:
                 (p, q, _, _), word = hit
                 return rb.false({"kind": "image-collapse", "p": p, "q": q,
@@ -198,12 +197,13 @@ def test_commuting_idempotent_family(k):
     assert_same(gens, tuple(PRESETS.values()) if k <= 4 else ())
 
 
-def test_completely_regular_budget():
+def test_completely_regular_budget(monkeypatch):
     gens = GeneratorSet.from_maps([(2, 3, 1), (1, 1, 2)])
+    monkeypatch.setattr(graph, "STATE_BUDGET", 10)
     with pytest.raises(StateBudgetExceeded):
-        is_completely_regular(gens, budget=10)
-    assert outcome(is_completely_regular, gens, 10) == outcome(
-        reference_completely_regular, gens, 10)
+        is_completely_regular(gens)
+    assert outcome(is_completely_regular, gens) == outcome(
+        reference_completely_regular, gens)
 
 
 def point_semilattice(n):

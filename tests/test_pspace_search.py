@@ -51,8 +51,18 @@ def test_iter_elements_canonical_order_and_words():
 
 
 def test_iter_elements_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        list(iter_elements(SIGMA, cap=2))
+    # A cap of |S| yields every element; one less stops, and so does the
+    # regularity search.
+    for gens in (SIGMA, COLLAPSE, full_monoid(3)):
+        size = len(enumerate_semigroup(gens))
+        assert len(list(iter_elements(gens, cap=size))) == size
+        with pytest.raises(EnumerationCapExceeded):
+            list(iter_elements(gens, cap=size - 1))
+        undecided = is_regular_semigroup(gens, cap=size - 1)
+        assert undecided.verdict.value == "UNDECIDED"
+        assert undecided.witness == {"kind": "enumeration-cap",
+                                     "cap": size - 1}
+        assert is_regular_semigroup(gens, cap=size).verdict.value != "UNDECIDED"
 
 
 def test_find_inverse_of_sigma():
