@@ -20,9 +20,16 @@ Three devices keep the enumeration honest but small:
   (source class, target class) pairs.  A target tuple is feasible iff it lies
   in the source tuple's orbit under the componentwise action, which
   ``graph.reach_set`` closes over a successor function memoised here.
-  Orbits are cached per source tuple, and each tuple's successors are
-  memoised, for the whole valuation search of one ``models`` call; only a
-  counterexample's words come from ``graph``'s ordered search.
+  The orbit is looked up under the distinct source points: a valuation
+  turns the pairs into a partial map from source points to target points,
+  and is infeasible at once if one point needs two targets.  Otherwise the
+  map's values on the ascending tuple of its points must lie in that
+  tuple's orbit; one word maps equal points to equal points, so the answer
+  is the same as for the original tuples.  Orbits are memoised under these
+  ascending tuples, so tuples that repeat or permute one point set share
+  one closure, and each tuple's successors are memoised, for the whole
+  valuation search of one ``models`` call; only a counterexample's words
+  come from ``graph``'s ordered search, run on the original tuples.
 * Valuations are assigned depth-first, class by class in index order, and a
   partial valuation is abandoned as soon as it fails: a variable is tested
   once its highest class is bound, the end classes once both are.  A class
@@ -189,7 +196,8 @@ class _VariableSearch:
     State tuples hold one coordinate per distinct (source class, target class)
     pair; a target tuple is reachable from a source tuple iff one word (of
     length >= 1) realizes every required transition at once.  ``orbit``
-    maps a source tuple to its orbit, memoised by one ``models`` call.
+    maps an ascending tuple of distinct points to its orbit, memoised by
+    one ``models`` call.
     """
 
     def __init__(self, gens: GeneratorSet, pairs: Sequence[tuple[int, int]],
@@ -203,7 +211,12 @@ class _VariableSearch:
         self._orbit = orbit
 
     def feasible(self, valuation) -> bool:
-        return self._target(valuation) in self._orbit(self._source(valuation))
+        image = {}
+        for p, q in zip(self._source(valuation), self._target(valuation)):
+            if image.setdefault(p, q) != q:
+                return False
+        key = tuple(sorted(image))
+        return tuple(map(image.__getitem__, key)) in self._orbit(key)
 
     def witness_word(self, valuation) -> tuple[int, ...]:
         word = tuple_reachability(self.gens, self._source(valuation),
@@ -299,8 +312,9 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
     if n ** classes > graph.STATE_BUDGET:
         raise StateBudgetExceeded(n ** classes, graph.STATE_BUDGET)
 
-    # One models call memoises every tuple's successors and every source
-    # tuple's orbit; an orbit depends on the tuple alone, not on the variable.
+    # One models call memoises every tuple's successors and the orbit of
+    # every ascending tuple of distinct points that a variable's test looks
+    # up; an orbit depends on the tuple alone, not on the variable.
     # Tuples on one cycle share their orbit, so equal orbits are stored once.
     step = tuple_successors(gens)
     successor_memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

@@ -12,37 +12,82 @@ from .core import GeneratorSet, fixed_points
 from .errors import PreconditionError, StateBudgetExceeded
 from . import graph
 from .graph import (has_cycle, multi_tuple_reachability, transformation_graph,
-                    tuple_reachability, undirected_components)
+                    undirected_components)
 from .report import PropertyReport, ReportBuilder
+
+
+def _backward_closure(marked: set, preds: dict) -> set:
+    """``marked`` grown by every state with a path to it, where ``preds``
+    maps a state to the states one generator takes to it."""
+    todo = list(marked)
+    while todo:
+        for state in preds.get(todo.pop(), ()):
+            if state not in marked:
+                marked.add(state)
+                todo.append(state)
+    return marked
 
 
 def has_right_zero(gens: GeneratorSet) -> PropertyReport:
     """A right zero exists iff every two points in one (undirected) component
-    of the transformation graph are collapsed by some element."""
+    of the transformation graph are collapsed by some element.
+
+    One backward closure over the graph of unordered pairs {p, q}, p < q,
+    of points in one component (the generators map a component into
+    itself) marks every collapsible pair at once: it starts from the pairs
+    that some generator collapses and adds each pair that a generator
+    takes to a marked pair.  The pairs are then scanned in order, so the
+    first non-collapsible pair is the witness a per-pair search would give.
+    """
     rb = ReportBuilder("right-zero", gens, "structural")
-    for comp in undirected_components(transformation_graph(gens)):
-        for ai in range(len(comp)):
-            for bi in range(ai + 1, len(comp)):
-                p, q = comp[ai], comp[bi]
-                word = tuple_reachability(gens, (p, q), lambda t: t[0] == t[1])
-                if word is None:
-                    return rb.false({"kind": "non-collapsible-pair",
-                                     "pair": [p, q]})
+    n = gens.degree
+    pairs = [(p, q)
+             for comp in undirected_components(transformation_graph(gens))
+             for i, p in enumerate(comp) for q in comp[i + 1:]]
+    if pairs and n * n > graph.STATE_BUDGET:
+        # The state space of the ordered pair search this closure replaced.
+        raise StateBudgetExceeded(n * n, graph.STATE_BUDGET)
+    maps = [(0,) + g.map for g in gens]
+    collapsed = set()
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p, q in pairs:
+        for m in maps:
+            a, b = m[p], m[q]
+            if a == b:
+                collapsed.add((p, q))
+                break
+            preds.setdefault((a, b) if a < b else (b, a), []).append((p, q))
+    collapsible = _backward_closure(collapsed, preds)
+    for p, q in pairs:
+        if (p, q) not in collapsible:
+            return rb.false({"kind": "non-collapsible-pair", "pair": [p, q]})
     return rb.true()
 
 
 def has_left_zero(gens: GeneratorSet) -> PropertyReport:
     """A left zero exists iff every point can be moved into the fixed-point
-    set by some element."""
+    set by some element.
+
+    One backward closure over the transformation graph, from the fixed
+    points, marks every point with a path into them; a fixed point counts,
+    since every generator keeps it there.  The points are then scanned in
+    order, so the first unmarked point is the witness.
+    """
     rb = ReportBuilder("left-zero", gens, "structural")
     fix = fixed_points(gens)
     if not fix:
         return rb.false({"kind": "point-misses-fixed", "point": 1,
                          "fixed_points": []})
-    fix_targets = {(f,) for f in fix}
-    for q in range(1, gens.degree + 1):
-        word = tuple_reachability(gens, (q,), fix_targets)
-        if word is None:
+    n = gens.degree
+    if n > graph.STATE_BUDGET:
+        raise StateBudgetExceeded(n, graph.STATE_BUDGET)
+    preds: dict[int, list[int]] = {}
+    for g in gens:
+        for p, q in enumerate(g.map, start=1):
+            preds.setdefault(q, []).append(p)
+    reaching = _backward_closure(set(fix), preds)
+    for q in range(1, n + 1):
+        if q not in reaching:
             return rb.false({"kind": "point-misses-fixed", "point": q,
                              "fixed_points": sorted(fix)})
     return rb.true()

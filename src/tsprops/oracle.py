@@ -169,17 +169,17 @@ def enumerate_semigroup(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> ElementTa
     )
 
 
-def _reach_from(table: ElementTable, mask: np.ndarray) -> np.ndarray:
-    """Elements reachable from the masked set by >= 1 right multiplications."""
-    visited = np.zeros(len(table), dtype=bool)
-    frontier = np.unique(table.succ[np.flatnonzero(mask)])
-    visited[frontier] = True
-    while frontier.size:
-        cand = np.unique(table.succ[frontier])
-        new = cand[~visited[cand]]
-        visited[new] = True
-        frontier = new
-    return visited
+def times_generators(table: ElementTable, mask: np.ndarray) -> np.ndarray:
+    """The set {s·a : s masked, a a generator}, one gather of ``table.succ``.
+
+    Applied to S^d it gives S^(d+1).  S^d·A ⊆ S^(d+1) is clear.  For the
+    converse take s·a_1⋯a_k with s ∈ S^d and generators a_i: it equals
+    (s·a_1⋯a_(k−1))·a_k, and the left factor is s itself or lies in
+    S^(d+1), which S² ⊆ S puts inside S^d; so the product lies in S^d·A.
+    """
+    out = np.zeros(len(table), dtype=bool)
+    out[table.succ[mask].reshape(-1)] = True
+    return out
 
 
 def zero_index(table: ElementTable) -> int | None:
@@ -235,8 +235,8 @@ def right_identity_indices(table: ElementTable) -> list[int]:
 def nilpotency_degree(table: ElementTable) -> int | None:
     """Least d with S^d = {zero}, or None when S is not nilpotent.
 
-    Iterates the set products S, S.S, (S.S).S, ... via reachability in the
-    right-multiplication graph until they stabilise or hit {zero}.
+    Iterates the set products S, S^2, S^3, ... (``times_generators``) until
+    they stabilise or hit {zero}.
     """
     z = zero_index(table)
     if z is None:
@@ -247,7 +247,7 @@ def nilpotency_degree(table: ElementTable) -> int | None:
         live = int(cur.sum())
         if live == 1 and cur[z]:
             return d
-        nxt = _reach_from(table, cur)
+        nxt = times_generators(table, cur)
         if (nxt == cur).all():
             return None
         cur = nxt
@@ -256,10 +256,11 @@ def nilpotency_degree(table: ElementTable) -> int | None:
 
 def _strongly_connected_components(succ: np.ndarray) -> list[list[int]]:
     """Tarjan over the right-multiplication graph, iteratively."""
-    m, k = succ.shape
-    indices = np.full(m, -1, dtype=np.int64)
-    low = np.zeros(m, dtype=np.int64)
-    on_stack = np.zeros(m, dtype=bool)
+    rows = succ.tolist()
+    m = len(rows)
+    indices = [-1] * m
+    low = [0] * m
+    on_stack = [False] * m
     comp_stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -275,8 +276,9 @@ def _strongly_connected_components(succ: np.ndarray) -> list[list[int]]:
                 comp_stack.append(v)
                 on_stack[v] = True
             advanced = False
-            while ci < k:
-                w = int(succ[v, ci])
+            row = rows[v]
+            while ci < len(row):
+                w = row[ci]
                 ci += 1
                 if indices[w] == -1:
                     work[-1] = (v, ci)
@@ -430,7 +432,7 @@ def _check_nilpotent(table):
     # The set products stabilised above {zero}: exhibit a persistent element.
     cur = np.ones(len(table), dtype=bool)
     for _ in range(len(table) + 1):
-        nxt = _reach_from(table, cur)
+        nxt = times_generators(table, cur)
         if (nxt == cur).all():
             break
         cur = nxt

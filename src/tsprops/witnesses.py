@@ -35,6 +35,7 @@ from .oracle import (
     left_identity_indices,
     nilpotency_degree,
     right_identity_indices,
+    times_generators,
 )
 from .report import PropertyReport
 
@@ -280,8 +281,7 @@ def _check_persistent_element(gens, w, get_table):
     # The stable core of the set-product iteration S, S², S³, …
     cur = np.ones(len(table), dtype=bool)
     for _ in range(len(table) + 1):
-        nxt = np.zeros(len(table), dtype=bool)
-        nxt[table.succ[cur].reshape(-1)] = True
+        nxt = times_generators(table, cur)
         if (nxt == cur).all():
             break
         cur = nxt

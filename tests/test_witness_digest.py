@@ -1,0 +1,47 @@
+"""Witness bytes stay fixed: one digest of every structural report.
+
+Every property in ``properties.REGISTRY`` with a structural route is run on
+every generator set of degree <= 3 with <= 2 generators and on a seeded pool
+of 100 sets, and the verdict and witness of each report, as sorted-key JSON,
+go into one SHA-256 digest.  A change that alters any witness on purpose
+updates ``DIGEST`` and says so in its change log; run this file as a script,
+with ``src`` on ``PYTHONPATH``, to print the new value.
+"""
+
+import hashlib
+import json
+import time
+
+from tsprops.core import DEFAULT_CAP
+from tsprops.crosscheck import exhaustive_generator_sets, seeded_instances
+from tsprops.properties import REGISTRY
+
+DIGEST = "f3595ace73ce1f97f7bbe494ee2f68365081aeed6f587271a048c437d65d2301"
+
+
+def pool():
+    for n in (1, 2, 3):
+        yield from exhaustive_generator_sets(n, 2)
+    yield from seeded_instances(20240817, 100, 5, 3)
+
+
+def structural_digest() -> str:
+    digest = hashlib.sha256()
+    for gens in pool():
+        for name, routes in REGISTRY.items():
+            if routes.structural is None:
+                continue
+            report = routes.structural(gens, DEFAULT_CAP)
+            line = json.dumps([name, report.verdict.value, report.witness],
+                              sort_keys=True)
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_structural_witness_digest():
+    assert structural_digest() == DIGEST
+
+
+if __name__ == "__main__":
+    started = time.perf_counter()
+    print(structural_digest(), f"{time.perf_counter() - started:.2f} s")
