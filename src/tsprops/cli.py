@@ -6,7 +6,8 @@ weak-inverse / inverse search for a target element), ``reduce`` (build hard
 instances from DFAs and digraphs), ``crosscheck`` (agreement sweeps).
 
 Exit codes: 0 TRUE/success, 1 FALSE/disagreements-found, 2 parse or input
-error, 3 unknown property, 4 undecided (cap or budget hit), 5 engine
+error (a bad option value or ``TSPROPS_CAP`` included), 3 unknown property,
+4 undecided (cap or budget hit, also when a sweep stops at one), 5 engine
 disagreement.
 
 The oracle and the sweeps need numpy, so they are imported inside the
@@ -57,17 +58,22 @@ EXIT_UNDECIDED = 4
 EXIT_DISAGREE = 5
 
 
-def _default_cap() -> int:
-    raw = os.environ.get("TSPROPS_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"TSPROPS_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit("TSPROPS_CAP must be positive")
-    return cap
+def _int_at_least(low: int, what: str):
+    """An argparse ``type`` for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1, "a positive integer")
+_non_negative = _int_at_least(0, "a non-negative integer")
 
 
 KNOWN_PROPERTIES = tuple(sorted(REGISTRY))
@@ -324,7 +330,14 @@ def cmd_crosscheck(args) -> int:
     else:
         instances = exhaustive_generator_sets(args.n, args.k)
         meta = {"mode": "exhaustive"}
-    summary = run_sweep(instances, cap=args.cap)
+    try:
+        summary = run_sweep(instances, cap=args.cap)
+    except EnumerationCapExceeded as exc:
+        print(f"error: a swept {exc} (--cap {exc.cap})", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except StateBudgetExceeded as exc:
+        print(f"error: a swept instance's {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     summary.update(meta, n=args.n, k=args.k)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_TRUE if summary["disagreements"] == 0 else EXIT_FALSE
@@ -336,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide structural properties of transformation "
                     "semigroups given by generators.")
     sub = parser.add_subparsers(dest="command", required=True)
-    cap_kw = dict(type=int, default=_default_cap(),
+    # argparse runs ``type`` on a string default, so a bad TSPROPS_CAP
+    # exits 2 only for the commands that take --cap.
+    cap_kw = dict(type=_positive,
+                  default=os.environ.get("TSPROPS_CAP", str(DEFAULT_CAP)),
                   help="element cap for enumerating engines "
                        "(default %(default)s, env TSPROPS_CAP)")
 
@@ -381,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck",
                        help="sweep instances through both engines")
-    p.add_argument("--n", type=int, default=3, help="degree bound")
-    p.add_argument("--k", type=int, default=2, help="generator-count bound")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--n", type=_positive, default=3, help="degree bound")
+    p.add_argument("--k", type=_positive, default=2,
+                   help="generator-count bound")
+    p.add_argument("--samples", type=_non_negative, default=0,
                    help="random sample count; 0 = exhaustive over --n/--k")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", **cap_kw)

@@ -4,9 +4,12 @@ The package's central claim is that every structural checker returns the same
 verdict as brute-force evaluation over the enumerated element table.  This
 module generates instance streams (exhaustive and seeded-random), runs both
 engines on each instance, and aggregates any disagreement into a
-deterministic, JSON-ready summary.  The two routes stay fully independent:
-the structural side never sees the element table, the oracle side never sees
-the structural verdict.
+deterministic, JSON-ready summary.  The two routes stay independent: the
+structural side never sees the element table, the oracle side never sees
+the structural verdict, and no property runs ``graph.strong_components`` on
+both sides (``tests/test_layering.py`` checks this), although structural
+``regular`` and oracle ``r_trivial`` both use it.  A sweep stops at the
+first instance past the element cap, with ``EnumerationCapExceeded``.
 """
 
 from __future__ import annotations

@@ -19,9 +19,13 @@ one with a generator mapping it to the path's first tuple, which is what
 the search took.
 
 ``multi_tuple_reachability`` stops at the first target and traces its word.
-``reach_set`` is a plain closure, with no order and no words, over a
-successor function its caller may memoise, as ``identity_engine`` does.
-Every search reads ``STATE_BUDGET`` at call time.
+
+``closure`` grows a set under any step function, with no order and no
+words: ``reach_set`` closes a tuple's successors under a successor function
+its caller may memoise, as ``identity_engine`` does, and the zero checks
+close backwards over predecessor maps.  ``strong_components`` is the one
+Tarjan, for ``image_orbit``, the nilpotency bound and the oracle's
+R-triviality check.  Every search reads ``STATE_BUDGET`` at call time.
 """
 
 from __future__ import annotations
@@ -214,18 +218,77 @@ def trace(gens: GeneratorSet, sources: Sequence[tuple[int, ...]],
     raise ValueError("the path does not start at a source")
 
 
+def closure(seeds: Iterable, step: Callable[..., Iterable]) -> set:
+    """The seeds and every state ``step`` reaches from them, in no order."""
+    reached = set(seeds)
+    todo = list(reached)
+    while todo:
+        for t in step(todo.pop()):
+            if t not in reached:
+                reached.add(t)
+                todo.append(t)
+    return reached
+
+
 def reach_set(source: tuple[int, ...],
               successors: Successors) -> frozenset[tuple[int, ...]]:
     """Every tuple reached from ``source`` by a nonempty word: the orbit
     ``source·S``, so at most |S| tuples."""
-    reached: set[tuple[int, ...]] = set()
-    todo = [source]
-    while todo:
-        for t in successors(todo.pop()):
-            if t not in reached:
-                reached.add(t)
-                todo.append(t)
-    return frozenset(reached)
+    return frozenset(closure(successors(source), successors))
+
+
+def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Strong components of the digraph ``v -> succ[v]`` on 0..len(succ)-1.
+
+    Tarjan's algorithm without recursion: a frame scans its vertex's
+    successors in place and a new frame is pushed only to descend.
+    ``component[v]`` numbers the component of ``v`` and ``components[c]``
+    lists its members ascending.  Components are numbered in the order
+    they close, so every edge ``v -> w`` has ``component[w] <= component[v]``.
+    """
+    n = len(succ)
+    order = [-1] * n          # discovery number, -1 while unvisited
+    low = [0] * n
+    component = [-1] * n      # a visited vertex is on the stack while -1
+    components: list[list[int]] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        work = [(root, 0)]    # (vertex, next successor position)
+        while work:
+            v, pos = work[-1]
+            if pos == 0:
+                order[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+            row = succ[v]
+            while pos < len(row):
+                w = row[pos]
+                pos += 1
+                if order[w] < 0:
+                    work[-1] = (v, pos)
+                    work.append((w, 0))
+                    break
+                if component[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        component[w] = len(components)
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(members))
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return component, components
 
 
 def multi_tuple_reachability(

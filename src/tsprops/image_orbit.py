@@ -9,7 +9,9 @@ in transformation semigroups", Math. Z. 1998).  The orbit has at most
 2^n - 1 members however large S is.
 
 Pure Python on purpose: the structural checks that use it must not depend
-on numpy or on the oracle.
+on numpy or on the oracle.  The components come from
+``graph.strong_components``, which the oracle's R-triviality check also
+uses; no property decides through it on both routes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import GeneratorSet
+from .graph import strong_components
 
 
 class ImageOrbit(NamedTuple):
@@ -58,55 +61,5 @@ def image_orbit(gens: GeneratorSet) -> ImageOrbit:
             out.append(j)
         succ.append(out)
         head += 1
-    component, components = _tarjan(succ)
+    component, components = strong_components(succ)
     return ImageOrbit(images, index, component, components)
-
-
-def _tarjan(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Strong components of the digraph ``v -> succ[v]``, without recursion."""
-    n = len(succ)
-    order = [-1] * n          # discovery number, -1 while unvisited
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    component = [-1] * n
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]    # (vertex, next successor position)
-        while work:
-            v, pos = work[-1]
-            if pos < len(succ[v]):
-                work[-1] = (v, pos + 1)
-                w = succ[v][pos]
-                if order[w] < 0:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == order[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component[w] = len(components)
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(members))
-    return component, components

@@ -11,21 +11,10 @@ from __future__ import annotations
 from .core import GeneratorSet, fixed_points
 from .errors import PreconditionError, StateBudgetExceeded
 from . import graph
-from .graph import (has_cycle, multi_tuple_reachability, transformation_graph,
+from .graph import (closure, has_cycle, multi_tuple_reachability,
+                    strong_components, transformation_graph,
                     undirected_components)
 from .report import PropertyReport, ReportBuilder
-
-
-def _backward_closure(marked: set, preds: dict) -> set:
-    """``marked`` grown by every state with a path to it, where ``preds``
-    maps a state to the states one generator takes to it."""
-    todo = list(marked)
-    while todo:
-        for state in preds.get(todo.pop(), ()):
-            if state not in marked:
-                marked.add(state)
-                todo.append(state)
-    return marked
 
 
 def has_right_zero(gens: GeneratorSet) -> PropertyReport:
@@ -49,15 +38,17 @@ def has_right_zero(gens: GeneratorSet) -> PropertyReport:
         raise StateBudgetExceeded(n * n, graph.STATE_BUDGET)
     maps = [(0,) + g.map for g in gens]
     collapsed = set()
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # A generator maps each component into itself, so every pair it
+    # reaches from ``pairs`` is one of them.
+    preds: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
     for p, q in pairs:
         for m in maps:
             a, b = m[p], m[q]
             if a == b:
                 collapsed.add((p, q))
                 break
-            preds.setdefault((a, b) if a < b else (b, a), []).append((p, q))
-    collapsible = _backward_closure(collapsed, preds)
+            preds[(a, b) if a < b else (b, a)].append((p, q))
+    collapsible = closure(collapsed, preds.__getitem__)
     for p, q in pairs:
         if (p, q) not in collapsible:
             return rb.false({"kind": "non-collapsible-pair", "pair": [p, q]})
@@ -81,11 +72,11 @@ def has_left_zero(gens: GeneratorSet) -> PropertyReport:
     n = gens.degree
     if n > graph.STATE_BUDGET:
         raise StateBudgetExceeded(n, graph.STATE_BUDGET)
-    preds: dict[int, list[int]] = {}
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
     for g in gens:
         for p, q in enumerate(g.map, start=1):
-            preds.setdefault(q, []).append(p)
-    reaching = _backward_closure(set(fix), preds)
+            preds[q].append(p)
+    reaching = closure(fix, preds.__getitem__)
     for q in range(1, n + 1):
         if q not in reaching:
             return rb.false({"kind": "point-misses-fixed", "point": q,
@@ -141,25 +132,15 @@ def nilpotency_degree_upper_bound(gens: GeneratorSet) -> int:
             "nilpotency degree bound is defined only for nilpotent semigroups")
     fix = fixed_points(gens)
     restrict = [q for q in range(1, gens.degree + 1) if q not in fix]
-    succ = transformation_graph(gens, restrict).successors()
-    depth: dict[int, int] = {}
-    for root in restrict:
-        if root in depth:
-            continue
-        stack = [(root, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                depth[v] = 1 + max((depth[w] for w in succ[v]), default=-1)
-                continue
-            if v in depth:
-                continue
-            stack.append((v, True))
-            for w in succ[v]:
-                if w not in depth:
-                    stack.append((w, False))
-    longest = max(depth.values(), default=0)
-    return 1 + longest
+    position = {q: i for i, q in enumerate(restrict)}
+    edges = transformation_graph(gens, restrict).successors()
+    succ = [[position[w] for w in edges[q]] for q in restrict]
+    # The restricted graph is acyclic, so its components are single
+    # vertices and each closes after every vertex it reaches.
+    depth = [0] * len(restrict)
+    for (v,) in strong_components(succ)[1]:
+        depth[v] = 1 + max((depth[w] for w in succ[v]), default=-1)
+    return 1 + max(depth, default=0)
 
 
 def is_r_trivial(gens: GeneratorSet) -> PropertyReport:

@@ -7,11 +7,14 @@ least by generator index) is recovered by following discovery parents.
 Universally quantified conditions are evaluated over the whole element table;
 where a condition over all elements provably reduces to the generator case by
 associativity alone (left/right zeros, identities, commuting, centrality),
-the loop runs over generators.
+the loop runs over generators.  R-triviality takes the right-multiplication
+graph's components from ``graph.strong_components``, which the structural
+``r-trivial`` does not use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import product
 from math import lcm
@@ -20,6 +23,7 @@ import numpy as np
 
 from .core import DEFAULT_CAP, GeneratorSet, Transformation
 from .errors import EnumerationCapExceeded, StateBudgetExceeded, UnknownPropertyError
+from .graph import strong_components
 from .report import PropertyReport, ReportBuilder, Verdict
 
 
@@ -232,77 +236,29 @@ def right_identity_indices(table: ElementTable) -> list[int]:
     return [int(i) for i in np.flatnonzero(_right_identity_mask(table))]
 
 
-def nilpotency_degree(table: ElementTable) -> int | None:
-    """Least d with S^d = {zero}, or None when S is not nilpotent.
-
-    Iterates the set products S, S^2, S^3, ... (``times_generators``) until
-    they stabilise or hit {zero}.
-    """
-    z = zero_index(table)
-    if z is None:
-        return None
-    m = len(table)
-    cur = np.ones(m, dtype=bool)
-    for d in range(1, m + 2):
-        live = int(cur.sum())
-        if live == 1 and cur[z]:
-            return d
+def set_powers(table: ElementTable) -> Iterator[np.ndarray]:
+    """Yield the masks of S, S^2, S^3, ... up to the first S^d with
+    S^(d+1) = S^d, each one ``times_generators`` of the last."""
+    cur = np.ones(len(table), dtype=bool)
+    # Each power before the fixed point is strictly smaller than the last.
+    for _ in range(len(table) + 1):
+        yield cur
         nxt = times_generators(table, cur)
         if (nxt == cur).all():
-            return None
+            return
         cur = nxt
     raise RuntimeError("set-product iteration failed to stabilise; this is a bug")
 
 
-def _strongly_connected_components(succ: np.ndarray) -> list[list[int]]:
-    """Tarjan over the right-multiplication graph, iteratively."""
-    rows = succ.tolist()
-    m = len(rows)
-    indices = [-1] * m
-    low = [0] * m
-    on_stack = [False] * m
-    comp_stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(m):
-        if indices[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ci = work[-1]
-            if ci == 0:
-                indices[v] = low[v] = counter
-                counter += 1
-                comp_stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            row = rows[v]
-            while ci < len(row):
-                w = row[ci]
-                ci += 1
-                if indices[w] == -1:
-                    work[-1] = (v, ci)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], indices[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == indices[v]:
-                comp = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+def nilpotency_degree(table: ElementTable) -> int | None:
+    """Least d with S^d = {zero}, or None when S is not nilpotent."""
+    z = zero_index(table)
+    if z is None:
+        return None
+    for d, power in enumerate(set_powers(table), start=1):
+        if power[z] and power.sum() == 1:
+            return d
+    return None
 
 
 def _word_between(table: ElementTable, src: int, dst: int) -> tuple[int, ...]:
@@ -430,14 +386,10 @@ def _check_nilpotent(table):
         return Verdict.TRUE, {"kind": "nilpotency-degree", "degree": degree,
                               "zero": table.describe(z)}
     # The set products stabilised above {zero}: exhibit a persistent element.
-    cur = np.ones(len(table), dtype=bool)
-    for _ in range(len(table) + 1):
-        nxt = times_generators(table, cur)
-        if (nxt == cur).all():
-            break
-        cur = nxt
-    cur[z] = False
-    i = int(np.flatnonzero(cur)[0])
+    for core in set_powers(table):
+        pass
+    core[z] = False
+    i = int(np.flatnonzero(core)[0])
     return Verdict.FALSE, {"kind": "persistent-element", "element": table.describe(i)}
 
 
@@ -562,10 +514,10 @@ def _check_inverse(table):
 
 
 def _check_r_trivial(table):
-    for comp in _strongly_connected_components(table.succ):
+    for comp in strong_components(table.succ.tolist())[1]:
         if len(comp) < 2:
             continue
-        s, t = sorted(comp)[:2]
+        s, t = comp[:2]
         return Verdict.FALSE, {
             "kind": "mutually-reachable-pair",
             "left": table.describe(s),

@@ -35,7 +35,7 @@ from .oracle import (
     left_identity_indices,
     nilpotency_degree,
     right_identity_indices,
-    times_generators,
+    set_powers,
 )
 from .report import PropertyReport
 
@@ -279,13 +279,9 @@ def _check_persistent_element(gens, w, get_table):
     if nilpotency_degree(table) is not None:
         _fail("the semigroup is nilpotent; nothing persists but the zero")
     # The stable core of the set-product iteration S, S², S³, …
-    cur = np.ones(len(table), dtype=bool)
-    for _ in range(len(table) + 1):
-        nxt = times_generators(table, cur)
-        if (nxt == cur).all():
-            break
-        cur = nxt
-    if idx is None or not cur[idx]:
+    for core in set_powers(table):
+        pass
+    if idx is None or not core[idx]:
         _fail("element does not persist in high powers of S")
 
 

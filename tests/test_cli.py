@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from conftest import CLI_TIMEOUT_SECONDS
-from tsprops import cli
+from tsprops import cli, graph
 from tsprops.cli import main
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.formats import parse_generators, render_dfa, render_digraph, render_generators
@@ -153,18 +153,43 @@ def test_check_engine_disagreement_exit5(tmp_path, capsys, monkeypatch):
 
 
 def test_cap_environment_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TSPROPS_CAP", "banana")
-    with pytest.raises(SystemExit):
-        main(["check", "whatever", "--property", "zero"])
-    monkeypatch.setenv("TSPROPS_CAP", "0")
-    with pytest.raises(SystemExit):
-        main(["check", "whatever", "--property", "zero"])
+    for bad in ("banana", "0", "-3"):
+        monkeypatch.setenv("TSPROPS_CAP", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "whatever", "--property", "zero"])
+        assert exc.value.code == 2, bad
+        assert "--cap" in capsys.readouterr().err
+
+    # Only the commands that take --cap read the variable, and an explicit
+    # --cap overrides it.
+    sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
+    assert main(["identity", sigma, "--quasi", "x1 x2 = x2 x1"]) == 0
+    assert main(["check", sigma, "--property", "zero", "--cap", "5"]) == 1
+    capsys.readouterr()
 
     monkeypatch.setenv("TSPROPS_CAP", "5")
     t3 = gen_file(tmp_path, "t3.txt", (2, 3, 1), (2, 1, 3), (1, 1, 3))
     assert main(["check", t3, "--property", "band",
                  "--engine", "oracle"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "SIGMA", "--property", "zero", "--engine", "oracle", "--cap", "0"],
+    ["check", "SIGMA", "--property", "regular", "--cap", "0"],
+    ["check", "SIGMA", "--property", "zero", "--cap", "two"],
+    ["element", "SIGMA", "--mode", "inverse", "--target", "1", "--cap", "-5"],
+    ["crosscheck", "--n", "0"],
+    ["crosscheck", "--k", "0"],
+    ["crosscheck", "--samples", "-3"],
+    ["crosscheck", "--cap", "0"],
+])
+def test_numeric_options_out_of_range_exit_2(tmp_path, capsys, argv):
+    sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
+    with pytest.raises(SystemExit) as exc:
+        main([sigma if arg == "SIGMA" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
 
 
 def test_identity_command(tmp_path, capsys, schema):
@@ -321,6 +346,23 @@ def test_crosscheck_command_deterministic(capsys):
     randomized = json.loads(capsys.readouterr().out)
     assert randomized["mode"] == "random"
     assert randomized["samples"] == 5 and randomized["seed"] == 3
+
+
+def test_crosscheck_past_the_cap_is_undecided(capsys):
+    assert main(["crosscheck", "--samples", "5", "--n", "4", "--k", "3",
+                 "--cap", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a swept semigroup has more than 10 "
+                            "elements (--cap 10)\n")
+
+
+def test_crosscheck_past_the_state_budget_is_undecided(capsys, monkeypatch):
+    monkeypatch.setattr(graph, "STATE_BUDGET", 3)
+    assert main(["crosscheck", "--n", "2", "--k", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a swept instance's state space")
 
 
 def test_console_script_runs(tmp_path, cli_command):

@@ -7,9 +7,11 @@ from tsprops.core import GeneratorSet, apply_word
 from tsprops.errors import StateBudgetExceeded
 from tsprops.graph import (
     Digraph,
+    closure,
     has_cycle,
     multi_tuple_reachability,
     reach_set,
+    strong_components,
     transformation_graph,
     tuple_reachability,
     tuple_successors,
@@ -217,3 +219,63 @@ def test_reach_set_in_a_space_of_millions():
     orbit = reach_set(t, tuple_successors(gens))
     assert orbit == _orbit(gens, t)
     assert t in orbit  # the cycle returns every tuple to itself
+
+
+def _random_digraph(rng, n):
+    """Successor lists on 0..n-1 with self-loops, repeated edges and
+    vertices without successors among them."""
+    succ = []
+    for v in range(n):
+        row = [rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        if row and rng.random() < 0.2:
+            row.append(row[0])          # a repeated edge
+        if rng.random() < 0.15:
+            row.append(v)               # a self-loop
+        succ.append(row)
+    return succ
+
+
+def _reachable(succ):
+    """reach[v]: every vertex with a path of length >= 0 from v."""
+    reach = []
+    for v in range(len(succ)):
+        seen = {v}
+        frontier = [v]
+        while frontier:
+            frontier = [w for u in frontier for w in succ[u] if w not in seen]
+            seen.update(frontier)
+        reach.append(seen)
+    return reach
+
+
+def test_strong_components_match_mutual_reachability():
+    rng = random.Random(1972)
+    sizes = [0, 1, 2] + [rng.randint(1, 14) for _ in range(300)]
+    for n in sizes:
+        succ = _random_digraph(rng, n)
+        component, components = strong_components(succ)
+        reach = _reachable(succ)
+        assert len(component) == n
+        assert sorted(v for comp in components for v in comp) == list(range(n))
+        for c, comp in enumerate(components):
+            assert comp == sorted(comp) and comp
+            assert all(component[v] == c for v in comp)
+        for v in range(n):
+            for w in range(n):
+                mutual = w in reach[v] and v in reach[w]
+                assert (component[v] == component[w]) == mutual, (succ, v, w)
+            for w in succ[v]:
+                assert component[w] <= component[v], (succ, v, w)
+
+
+def test_closure_includes_its_seeds_and_matches_reachability():
+    rng = random.Random(1973)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        succ = _random_digraph(rng, n)
+        reach = _reachable(succ)
+        seeds = rng.sample(range(n), rng.randint(0, min(n, 3)))
+        want = set().union(*(reach[v] for v in seeds))
+        got = closure(seeds, succ.__getitem__)
+        assert got == want and set(seeds) <= got, (succ, seeds)
+    assert closure([], succ.__getitem__) == set()

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from tsprops.core import GeneratorSet, apply_word, word_to_transformation
+from tsprops.core import (GeneratorSet, apply_word, fixed_points,
+                          word_to_transformation)
+from tsprops.crosscheck import exhaustive_generator_sets
 from tsprops.errors import PreconditionError
+from tsprops.graph import transformation_graph
 from tsprops.nl_checks import (
     has_left_zero,
     has_right_zero,
@@ -20,6 +23,7 @@ from tsprops.oracle import (
     enumerate_semigroup,
     nilpotency_degree,
 )
+from tsprops.reductions import InputDigraph, digraph_to_semigroup
 
 SIGMA = GeneratorSet.from_maps([(2, 3, 1)])
 CONSTS = GeneratorSet.from_maps([(1, 1, 1), (2, 2, 2)])
@@ -81,6 +85,46 @@ def test_nilpotency_degree_upper_bound():
     assert nilpotency_degree(enumerate_semigroup(chain)) == 3
     with pytest.raises(PreconditionError):
         nilpotency_degree_upper_bound(SIGMA)
+
+
+def reference_degree_bound(gens):
+    """The longest-path bound by an explicit-stack depth-first search over
+    the restricted graph, as ``nilpotency_degree_upper_bound`` once ran it."""
+    fix = fixed_points(gens)
+    restrict = [q for q in range(1, gens.degree + 1) if q not in fix]
+    succ = transformation_graph(gens, restrict).successors()
+    depth = {}
+    for root in restrict:
+        if root in depth:
+            continue
+        stack = [(root, False)]
+        while stack:
+            v, expanded = stack.pop()
+            if expanded:
+                depth[v] = 1 + max((depth[w] for w in succ[v]), default=-1)
+                continue
+            if v in depth:
+                continue
+            stack.append((v, True))
+            for w in succ[v]:
+                if w not in depth:
+                    stack.append((w, False))
+    return 1 + max(depth.values(), default=0)
+
+
+def test_degree_bound_matches_the_depth_first_search():
+    pool = [gens for n in (1, 2, 3) for gens in exhaustive_generator_sets(n, 2)]
+    rng = random.Random(1121)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        edges = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
+                 for _ in range(rng.randint(1, 2 * n))}
+        pool.append(digraph_to_semigroup(InputDigraph(n, tuple(sorted(edges)))))
+    nilpotent = [gens for gens in pool if is_nilpotent(gens).verdict]
+    assert len(nilpotent) > 80
+    for gens in nilpotent:
+        assert (nilpotency_degree_upper_bound(gens)
+                == reference_degree_bound(gens)), gens
 
 
 def test_bound_dominates_exact_degree_random():

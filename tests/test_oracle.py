@@ -27,6 +27,7 @@ from tsprops.oracle import (
     models_by_enumeration,
     nilpotency_degree,
     right_identity_indices,
+    set_powers,
     weak_inverse_exponent_check,
     zero_index,
 )
@@ -146,6 +147,27 @@ def test_nilpotency_degree():
     # chain 3 -> 2 -> 1: degree equals the chain length
     chain = GeneratorSet.from_maps([(1, 1, 2)])
     assert nilpotency_degree(enumerate_semigroup(chain)) == 2
+
+
+def test_set_powers_shrink_to_their_fixed_point():
+    chain = enumerate_semigroup(GeneratorSet.from_maps([(1, 1, 2, 3)]))
+    sizes = [int(power.sum()) for power in set_powers(chain)]
+    assert sizes == [3, 2, 1]   # S, S^2, S^3 = {zero}
+    mixed = enumerate_semigroup(GeneratorSet.from_maps([(2, 1, 3), (3, 3, 3)]))
+    powers = list(set_powers(mixed))
+    assert [int(p.sum()) for p in powers] == [len(mixed)]   # S^2 = S
+    for gens in exhaustive_generator_sets(3, 1):
+        table = enumerate_semigroup(gens)
+        powers = list(set_powers(table))
+        assert powers[0].all()
+        for bigger, smaller in zip(powers, powers[1:]):
+            assert (smaller <= bigger).all() and smaller.sum() < bigger.sum()
+        products = {tuple(compose(table.element(i), table.element(j)).map)
+                    for i in np.flatnonzero(powers[-1])
+                    for j in range(len(table))}
+        last = {tuple(table.element(int(i)).map)
+                for i in np.flatnonzero(powers[-1])}
+        assert products == last, gens   # S^(d+1) = S^d
 
 
 def test_definitional_verdicts_on_known_instances():
