@@ -192,6 +192,59 @@ def test_numeric_options_out_of_range_exit_2(tmp_path, capsys, argv):
     assert "error: argument --" in capsys.readouterr().err
 
 
+NO_FILE = "error: [Errno 2] No such file or directory: '{ABSENT}'"
+BAD_MAP = "error: line 2: expected 3 images, got 4"
+NO_DFA = ("error: line 1: a DFA needs a state count, an initial line and a "
+          "final line")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check", "ABSENT", "--property", "zero"], NO_FILE),
+    (["check", "BAD", "--property", "zero"], BAD_MAP),
+    (["identity", "ABSENT", "--quasi", "x1 x2 = x2 x1"], NO_FILE),
+    (["identity", "BAD", "--quasi", "x1 x2 = x2 x1"], BAD_MAP),
+    (["identity", "SIGMA", "--quasi", "x1 x2 ="],
+     "error: line 1: right word is empty"),
+    (["element", "ABSENT", "--mode", "inverse", "--target", "1"], NO_FILE),
+    (["element", "BAD", "--mode", "inverse", "--target", "1"], BAD_MAP),
+    (["element", "SIGMA", "--mode", "inverse", "--target", "9"],
+     "error: target index 9 outside 1..1"),
+    (["element", "SIGMA", "--mode", "inverse", "--target-file", "ABSENT"],
+     NO_FILE),
+    (["element", "SIGMA", "--mode", "inverse", "--target-file", "BAD"],
+     BAD_MAP),
+    (["element", "SIGMA", "--mode", "inverse", "--target-file", "TWO"],
+     "error: the target file must hold exactly one transformation"),
+    (["element", "SIGMA", "--mode", "inverse", "--target-file", "SHORT"],
+     "error: target degree 2 does not match instance degree 3"),
+    (["reduce", "zero", "GARBAGE", "OUT"], NO_DFA),
+    (["reduce", "nilpotent", "GARBAGE", "OUT"], NO_DFA),
+    (["reduce", "regular", "GARBAGE", "OUT"], NO_DFA),
+    (["reduce", "weak-inverse", "GARBAGE", "OUT"], NO_DFA),
+    (["reduce", "rtrivial", "GARBAGE", "OUT"],
+     "error: line 1: vertex-count line must be an integer, got 'states two'"),
+    (["reduce", "zero", "ABSENT", "OUT"], NO_FILE),
+])
+def test_bad_input_lines(tmp_path, capsys, argv, line):
+    """The exact stderr line and exit code 2 for each kind of bad input."""
+    (tmp_path / "bad.txt").write_text("3\nnot a map line\n")
+    (tmp_path / "garbage.txt").write_text("states two\n")
+    files = {
+        "ABSENT": str(tmp_path / "absent.txt"),
+        "BAD": str(tmp_path / "bad.txt"),
+        "GARBAGE": str(tmp_path / "garbage.txt"),
+        "OUT": str(tmp_path / "out.txt"),
+        "SIGMA": gen_file(tmp_path, "sigma.txt", (2, 3, 1)),
+        "TWO": gen_file(tmp_path, "two.txt", (2, 1, 3), (1, 1, 1)),
+        "SHORT": gen_file(tmp_path, "short.txt", (2, 1)),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line.replace("{ABSENT}", files["ABSENT"]) + "\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_identity_command(tmp_path, capsys, schema):
     sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
     assert main(["identity", sigma, "--quasi", "x1 x1 x1 x2 = x2"]) == 0
