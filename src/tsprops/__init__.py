@@ -28,6 +28,7 @@ _SUBMODULE_NAMES = {
     "errors": (
         "DegreeMismatchError",
         "EnumerationCapExceeded",
+        "LimitExceeded",
         "ParseError",
         "PreconditionError",
         "StateBudgetExceeded",

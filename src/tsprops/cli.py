@@ -27,6 +27,7 @@ from . import identity_engine, pspace_search
 from .core import DEFAULT_CAP, GeneratorSet
 from .errors import (
     EnumerationCapExceeded,
+    LimitExceeded,
     ParseError,
     PreconditionError,
     StateBudgetExceeded,
@@ -79,6 +80,17 @@ _non_negative = _int_at_least(0, "a non-negative integer")
 KNOWN_PROPERTIES = tuple(sorted(REGISTRY))
 
 
+class _InputError(Exception):
+    """Bad input: ``main`` prints ``error: <message>`` and exits 2."""
+
+
+def _read_generators(path: str) -> GeneratorSet:
+    try:
+        return parse_generators(Path(path).read_text())
+    except (OSError, ParseError) as exc:
+        raise _InputError(exc) from None
+
+
 def _print_report(report: PropertyReport, as_json: bool):
     if as_json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -106,8 +118,7 @@ def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     try:
         table = enumerate_semigroup(gens, cap)
     except EnumerationCapExceeded as exc:
-        rb = ReportBuilder(prop, gens, "oracle")
-        return rb.undecided({"kind": "enumeration-cap", "cap": exc.cap})
+        return ReportBuilder(prop, gens, "oracle").undecided(exc.witness)
     report = definitional_check(table, REGISTRY[prop].oracle_key)
     # Report under the command-line property name, not the oracle's key.
     return dataclasses.replace(report, property=prop)
@@ -116,21 +127,12 @@ def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
 def _structural_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     try:
         return REGISTRY[prop].structural(gens, cap)
-    except EnumerationCapExceeded as exc:
-        rb = ReportBuilder(prop, gens, "structural")
-        return rb.undecided({"kind": "enumeration-cap", "cap": exc.cap})
-    except StateBudgetExceeded as exc:
-        rb = ReportBuilder(prop, gens, "structural")
-        return rb.undecided({"kind": "state-budget", "states": exc.states,
-                             "budget": exc.budget})
+    except LimitExceeded as exc:
+        return ReportBuilder(prop, gens, "structural").undecided(exc.witness)
 
 
 def cmd_check(args) -> int:
-    try:
-        gens = parse_generators(Path(args.file).read_text())
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    gens = _read_generators(args.file)
     prop = args.property
     if prop not in KNOWN_PROPERTIES:
         print(f"error: unknown property {prop!r}; known: "
@@ -175,49 +177,35 @@ def cmd_check(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    gens = _read_generators(args.file)
     try:
-        gens = parse_generators(Path(args.file).read_text())
         qid = parse_quasi_identity(args.quasi)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ParseError as exc:
+        raise _InputError(exc) from None
     try:
         report = identity_engine.models(gens, qid)
     except StateBudgetExceeded as exc:
-        rb = ReportBuilder("quasi-identity", gens, "structural")
-        report = rb.undecided({"kind": "state-budget", "states": exc.states,
-                               "budget": exc.budget})
+        report = ReportBuilder("quasi-identity", gens,
+                               "structural").undecided(exc.witness)
     _print_report(report, args.json)
     return _verdict_exit(report.verdict)
 
 
 def cmd_element(args) -> int:
-    try:
-        gens = parse_generators(Path(args.file).read_text())
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    gens = _read_generators(args.file)
     if args.target is not None:
         if not 1 <= args.target <= len(gens):
-            print(f"error: target index {args.target} outside 1..{len(gens)}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(
+                f"target index {args.target} outside 1..{len(gens)}")
         target = gens[args.target - 1]
     else:
-        try:
-            tset = parse_generators(Path(args.target_file).read_text())
-        except (OSError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        tset = _read_generators(args.target_file)
         if len(tset) != 1:
-            print("error: the target file must hold exactly one "
-                  "transformation", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError("the target file must hold exactly one "
+                              "transformation")
         if tset.degree != gens.degree:
-            print(f"error: target degree {tset.degree} does not match "
-                  f"instance degree {gens.degree}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"target degree {tset.degree} does not match "
+                              f"instance degree {gens.degree}")
         target = tset[0]
 
     finders = {
@@ -315,8 +303,7 @@ def cmd_reduce(args) -> int:
                 ["reduction target element; not a generator of the instance"])
             print(f"wrote {target_path}")
     except (OSError, ParseError, PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(exc) from None
     print(f"wrote {args.output}")
     return EXIT_TRUE
 
@@ -410,4 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT

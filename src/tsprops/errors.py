@@ -5,21 +5,29 @@ class DegreeMismatchError(ValueError):
     """Operands act on point sets of different sizes."""
 
 
-class EnumerationCapExceeded(RuntimeError):
+class LimitExceeded(RuntimeError):
+    """A search stopped at a limit; ``witness`` is the UNDECIDED witness
+    naming it, which ``witnesses.verify_witness`` replays."""
+
+
+class EnumerationCapExceeded(LimitExceeded):
     """Element enumeration grew past the configured cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"semigroup has more than {cap} elements")
         self.cap = cap
+        self.witness = {"kind": "enumeration-cap", "cap": cap}
 
 
-class StateBudgetExceeded(RuntimeError):
+class StateBudgetExceeded(LimitExceeded):
     """A tuple state space is larger than the configured budget."""
 
     def __init__(self, states: int, budget: int):
         super().__init__(f"state space of size {states} exceeds budget {budget}")
         self.states = states
         self.budget = budget
+        self.witness = {"kind": "state-budget", "states": states,
+                        "budget": budget}
 
 
 class ParseError(ValueError):

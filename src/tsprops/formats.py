@@ -43,45 +43,60 @@ def _parse_map_line(lineno: int, line: str, n: int) -> tuple[str | None, tuple[i
     return name, images
 
 
+def _parse_count(lines, what: str) -> int:
+    """The positive integer on the first logical line, called ``what`` (the
+    degree, vertex count or state count) in errors."""
+    lineno, first = lines[0]
+    try:
+        n = int(first)
+    except ValueError:
+        raise ParseError(lineno, f"{what.replace(' ', '-')} line must be an "
+                                 f"integer, got {first!r}") from None
+    if n < 1:
+        raise ParseError(lineno, f"{what} must be at least 1, got {n}")
+    return n
+
+
+def _parse_maps(lines, n: int) -> tuple[tuple[Transformation, ...],
+                                        tuple[str, ...] | None]:
+    """Map lines of degree ``n`` and their names: None when no line is
+    named, else ``a<i>`` for each unnamed i-th line."""
+    maps = []
+    names = []
+    for lineno, line in lines:
+        name, images = _parse_map_line(lineno, line, n)
+        names.append(name)
+        maps.append(Transformation(n, images))
+    if all(name is None for name in names):
+        return tuple(maps), None
+    return tuple(maps), tuple(nm if nm is not None else f"a{i}"
+                              for i, nm in enumerate(names, 1))
+
+
+def _render_rows(maps, names) -> list[str]:
+    """One line per map, ``name: `` first when ``names`` is not None."""
+    rows = [" ".join(str(x) for x in m.map) for m in maps]
+    if names is None:
+        return rows
+    return [f"{name}: {row}" for name, row in zip(names, rows)]
+
+
 def parse_generators(text: str) -> GeneratorSet:
     """Parse a generator file; raises ParseError with a line number."""
     lines = list(_logical_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
-    lineno, first = lines[0]
-    try:
-        n = int(first)
-    except ValueError:
-        raise ParseError(lineno, f"degree line must be an integer, got {first!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"degree must be at least 1, got {n}")
-    gens = []
-    names = []
-    any_named = False
-    for lineno, line in lines[1:]:
-        name, images = _parse_map_line(lineno, line, n)
-        if name is not None:
-            any_named = True
-        names.append(name)
-        gens.append(Transformation(n, images))
+    n = _parse_count(lines, "degree")
+    gens, names = _parse_maps(lines[1:], n)
     if not gens:
         raise ParseError(lines[0][0], "no generators given")
-    if any_named:
-        filled = tuple(nm if nm is not None else f"a{i}" for i, nm in enumerate(names, 1))
-        return GeneratorSet(n, tuple(gens), filled)
-    return GeneratorSet(n, tuple(gens), None)
+    return GeneratorSet(n, gens, names)
 
 
 def render_generators(gens: GeneratorSet) -> str:
     """Canonical text for a generator set; parses back to an equal set."""
-    out = [str(gens.degree)]
-    for i, g in enumerate(gens.generators, start=1):
-        row = " ".join(str(x) for x in g.map)
-        if gens.names is not None:
-            out.append(f"{gens.names[i - 1]}: {row}")
-        else:
-            out.append(row)
-    return "\n".join(out) + "\n"
+    rows = _render_rows(gens.generators, gens.names)
+    return "\n".join([str(gens.degree), *rows]) + "\n"
 
 
 def instance_digest(gens: GeneratorSet) -> str:
@@ -103,13 +118,7 @@ def parse_digraph(text: str):
     lines = list(_logical_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
-    lineno, first = lines[0]
-    try:
-        n = int(first)
-    except ValueError:
-        raise ParseError(lineno, f"vertex-count line must be an integer, got {first!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"vertex count must be at least 1, got {n}")
+    n = _parse_count(lines, "vertex count")
     edges = []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -140,13 +149,7 @@ def parse_dfa(text: str):
     if len(lines) < 3:
         raise ParseError(lines[-1][0] if lines else 1,
                          "a DFA needs a state count, an initial line and a final line")
-    lineno, first = lines[0]
-    try:
-        n = int(first)
-    except ValueError:
-        raise ParseError(lineno, f"state-count line must be an integer, got {first!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"state count must be at least 1, got {n}")
+    n = _parse_count(lines, "state count")
 
     lineno, line = lines[1]
     parts = line.split()
@@ -171,31 +174,14 @@ def parse_dfa(text: str):
         if not 1 <= f <= n:
             raise ParseError(lineno, f"final state {f} outside 1..{n}")
 
-    letters = []
-    names = []
-    any_named = False
-    for lineno, line in lines[3:]:
-        name, images = _parse_map_line(lineno, line, n)
-        if name is not None:
-            any_named = True
-        names.append(name)
-        letters.append(Transformation(n, images))
-    if any_named:
-        filled = tuple(nm if nm is not None else f"a{i}" for i, nm in enumerate(names, 1))
-    else:
-        filled = None
-    return DFA(n, initial, finals, tuple(letters), filled)
+    letters, names = _parse_maps(lines[3:], n)
+    return DFA(n, initial, finals, letters, names)
 
 
 def render_dfa(dfa) -> str:
     out = [str(dfa.n), f"initial {dfa.initial}"]
     out.append("final" + "".join(f" {f}" for f in sorted(dfa.finals)))
-    for i, letter in enumerate(dfa.letters, start=1):
-        row = " ".join(str(x) for x in letter.map)
-        if dfa.letter_names is not None:
-            out.append(f"{dfa.letter_names[i - 1]}: {row}")
-        else:
-            out.append(row)
+    out.extend(_render_rows(dfa.letters, dfa.letter_names))
     return "\n".join(out) + "\n"
 
 

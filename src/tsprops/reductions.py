@@ -187,7 +187,13 @@ def digraph_to_semigroup(graph: InputDigraph) -> GeneratorSet:
     return GeneratorSet.from_maps(maps, names=names)
 
 
-def _disjoint_union_blocks(dfas: list[DFA] | tuple[DFA, ...]) -> tuple[int, list[int]]:
+def _disjoint_union(dfas: list[DFA] | tuple[DFA, ...]
+                    ) -> tuple[list[tuple[int, ...]], list[str],
+                               tuple[int, ...], list[int]]:
+    """The automata side by side on the disjoint union of their states
+    plus a sink, the last point: each letter's map, the letter names, the
+    map sending each final state to its automaton's initial state and
+    everything else to the sink, and each automaton's offset."""
     if not dfas:
         raise PreconditionError("at least one automaton required")
     k = len(dfas[0].letters)
@@ -203,7 +209,22 @@ def _disjoint_union_blocks(dfas: list[DFA] | tuple[DFA, ...]) -> tuple[int, list
     for d in dfas:
         offsets.append(total)
         total += d.n
-    return total, offsets
+    sink = size = total + 1
+    maps = []
+    names = []
+    for i in range(1, k + 1):
+        img = [sink] * size
+        for off, d in zip(offsets, dfas):
+            letter = d.letters[i - 1]
+            for q in range(1, d.n + 1):
+                img[off + q - 1] = off + letter.apply(q)
+        maps.append(tuple(img))
+        names.append(dfas[0].letter_name(i))
+    img = [sink] * size
+    for off, d in zip(offsets, dfas):
+        final = next(iter(d.finals))
+        img[off + final - 1] = off + d.initial
+    return maps, names, tuple(img), offsets
 
 
 def dfa_intersection_to_regular(dfas: list[DFA] | tuple[DFA, ...]) -> tuple[GeneratorSet, int]:
@@ -214,27 +235,9 @@ def dfa_intersection_to_regular(dfas: list[DFA] | tuple[DFA, ...]) -> tuple[Gene
     else to the sink.  Guarantee: b is regular in the semigroup iff some word
     is accepted by every automaton.
     """
-    total, offsets = _disjoint_union_blocks(dfas)
-    k = len(dfas[0].letters)
-    sink = total + 1
-    size = total + 1
-    maps = []
-    names = []
-    for i in range(1, k + 1):
-        img = [sink] * size
-        for off, d in zip(offsets, dfas):
-            letter = d.letters[i - 1]
-            for q in range(1, d.n + 1):
-                img[off + q - 1] = off + letter.apply(q)
-        maps.append(tuple(img))
-        names.append(dfas[0].letter_name(i))
-    img = [sink] * size
-    for off, d in zip(offsets, dfas):
-        final = next(iter(d.finals))
-        img[off + final - 1] = off + d.initial
-    maps.append(tuple(img))
-    names.append("restart")
-    return GeneratorSet.from_maps(maps, names=names), k + 1
+    maps, names, restart, _ = _disjoint_union(dfas)
+    gens = GeneratorSet.from_maps(maps + [restart], names=names + ["restart"])
+    return gens, len(maps) + 1
 
 
 def dfa_intersection_to_weak_inverse(dfas: list[DFA] | tuple[DFA, ...]) -> tuple[GeneratorSet, Transformation]:
@@ -245,34 +248,12 @@ def dfa_intersection_to_weak_inverse(dfas: list[DFA] | tuple[DFA, ...]) -> tuple
     and everything else to the sink.  Guarantee: b has a weak inverse in the
     semigroup iff the intersection language is nonempty.
     """
-    total, offsets = _disjoint_union_blocks(dfas)
-    k = len(dfas[0].letters)
-    sink = total + 1
-    size = total + 1
-    maps = []
-    names = []
-    for i in range(1, k + 1):
-        img = [sink] * size
-        for off, d in zip(offsets, dfas):
-            letter = d.letters[i - 1]
-            for q in range(1, d.n + 1):
-                img[off + q - 1] = off + letter.apply(q)
-        maps.append(tuple(img))
-        names.append(dfas[0].letter_name(i))
-    img = [sink] * size
-    for off, d in zip(offsets, dfas):
-        for q in range(1, d.n + 1):
-            img[off + q - 1] = off + d.initial
-    maps.append(tuple(img))
-    names.append("rewind")
-    gens = GeneratorSet.from_maps(maps, names=names)
-
-    img = [sink] * size
-    for off, d in zip(offsets, dfas):
-        final = next(iter(d.finals))
-        img[off + final - 1] = off + d.initial
-    target = Transformation(size, tuple(img))
-    return gens, target
+    maps, names, target, offsets = _disjoint_union(dfas)
+    sink = len(target)
+    rewind = tuple(off + d.initial for off, d in zip(offsets, dfas)
+                   for _ in range(d.n)) + (sink,)
+    gens = GeneratorSet.from_maps(maps + [rewind], names=names + ["rewind"])
+    return gens, Transformation(sink, target)
 
 
 def dfa_language_nonempty(dfa: DFA) -> bool:

@@ -232,6 +232,13 @@ def _check_enumeration_cap(gens, w, get_table):
         _fail("cap must be positive")
 
 
+def _check_state_budget(gens, w, get_table):
+    if w["budget"] < 1:
+        _fail("budget must be positive")
+    if w["states"] <= w["budget"]:
+        _fail(f"{w['states']} states are within the budget {w['budget']}")
+
+
 def _check_non_commuting_elements(gens, w, get_table):
     a = _element(gens, w["left"], "left")
     b = _element(gens, w["right"], "right")
@@ -405,6 +412,7 @@ _HANDLERS: dict[str, Callable] = {
     "non-regular-element": _check_non_regular_element,
     "inverse-count": _check_inverse_count,
     "enumeration-cap": _check_enumeration_cap,
+    "state-budget": _check_state_budget,
     "non-commuting-elements": _check_non_commuting_elements,
     "non-idempotent-element": _check_non_idempotent_element,
     "element-certificate": _check_element_certificate,

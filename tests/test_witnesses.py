@@ -1,11 +1,16 @@
 """Witness replay: every reported witness must reproduce, tampered ones must not."""
 
+import ast
 import copy
+from importlib import resources
 
 import pytest
 
+from tsprops import cli, graph
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.crosscheck import check_instance
+from tsprops.errors import (EnumerationCapExceeded, LimitExceeded,
+                            StateBudgetExceeded)
 from tsprops.identity_engine import models, parse_quasi_identity
 from tsprops.oracle import (
     PROPERTIES,
@@ -13,7 +18,7 @@ from tsprops.oracle import (
     enumerate_semigroup,
     models_by_enumeration,
 )
-from tsprops.witnesses import WitnessReplayError, verify_witness
+from tsprops.witnesses import _HANDLERS, WitnessReplayError, verify_witness
 
 
 def gen_set(*maps):
@@ -221,3 +226,55 @@ def test_identity_list_completeness_enforced():
     empty_right = definitional_check(table, "right_identities").witness
     assert empty_right["identities"] == []
     assert verify_witness(CONSTS, empty_right, table=table)
+
+
+# One UNDECIDED structural report per limit, with the state budget lowered
+# to 3, and mutations of its witness that replay must reject.
+LIMITS = {
+    EnumerationCapExceeded: (
+        "enumeration-cap", T3, "regular", 5,
+        [lambda w: w.update(cap=0), lambda w: w.update(cap=-2)]),
+    StateBudgetExceeded: (
+        "state-budget", gen_set((2, 3, 1, 4), (1, 1, 3, 4)), "band", 1000,
+        [lambda w: w.update(budget=0), lambda w: w.update(states=w["budget"]),
+         lambda w: w.update(states=w["budget"] - 1)]),
+}
+
+
+def test_every_limit_witness_replays_and_rejects_tampering(monkeypatch):
+    assert set(LIMITS) == set(LimitExceeded.__subclasses__())
+    monkeypatch.setattr(graph, "STATE_BUDGET", 3)
+    for kind, gens, prop, cap, mutations in LIMITS.values():
+        report = cli._structural_report(gens, prop, cap)
+        assert report.verdict.value == "UNDECIDED"
+        assert report.witness["kind"] == kind
+        assert verify_witness(gens, report)
+        for mutate in mutations:
+            bad = copy.deepcopy(report.witness)
+            mutate(bad)
+            with pytest.raises(WitnessReplayError):
+                verify_witness(gens, bad)
+
+
+def emitted_witness_kinds():
+    """kind -> modules, for each dict literal in the package whose ``"kind"``
+    is a string constant."""
+    kinds = {}
+    for path in resources.files("tsprops").iterdir():
+        if not path.name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if (isinstance(key, ast.Constant) and key.value == "kind"
+                            and isinstance(value, ast.Constant)):
+                        kinds.setdefault(value.value, set()).add(path.name)
+    return kinds
+
+
+def test_every_emitted_witness_kind_has_a_replay_handler():
+    kinds = emitted_witness_kinds()
+    assert {"errors.py"} == kinds["state-budget"] == kinds["enumeration-cap"]
+    missing = {kind: sorted(mods) for kind, mods in kinds.items()
+               if kind not in _HANDLERS}
+    assert not missing
