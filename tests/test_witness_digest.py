@@ -1,11 +1,14 @@
-"""Witness bytes stay fixed: one digest of every structural report.
+"""Witness bytes stay fixed: one digest of every structural report, one of
+every oracle report.
 
 Every property in ``properties.REGISTRY`` with a structural route is run on
 every generator set of degree <= 3 with <= 2 generators and on a seeded pool
 of 100 sets, and the verdict and witness of each report, as sorted-key JSON,
-go into one SHA-256 digest.  A change that alters any witness on purpose
-updates ``DIGEST`` and says so in its change log; run this file as a script,
-with ``src`` on ``PYTHONPATH``, to print the new value.
+go into one SHA-256 digest.  ``ORACLE_DIGEST`` does the same for every key of
+``oracle.PROPERTIES``, on one element table per set of the same pool.  A
+change that alters any witness on purpose updates the digest and says so in
+its change log; run this file as a script, with ``src`` on ``PYTHONPATH``, to
+print the new values.
 """
 
 import hashlib
@@ -14,9 +17,11 @@ import time
 
 from tsprops.core import DEFAULT_CAP
 from tsprops.crosscheck import exhaustive_generator_sets, seeded_instances
+from tsprops.oracle import PROPERTIES, definitional_check, enumerate_semigroup
 from tsprops.properties import REGISTRY
 
 DIGEST = "f3595ace73ce1f97f7bbe494ee2f68365081aeed6f587271a048c437d65d2301"
+ORACLE_DIGEST = "562b75d82027db4c1a0b8ce4ca9ff6dec7a348575898eb914e8dfe0fcb0fb083"
 
 
 def pool():
@@ -38,10 +43,27 @@ def structural_digest() -> str:
     return digest.hexdigest()
 
 
+def oracle_digest() -> str:
+    digest = hashlib.sha256()
+    for gens in pool():
+        table = enumerate_semigroup(gens)
+        for key in PROPERTIES:
+            report = definitional_check(table, key)
+            line = json.dumps([key, report.verdict.value, report.witness],
+                              sort_keys=True)
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_structural_witness_digest():
     assert structural_digest() == DIGEST
 
 
+def test_oracle_witness_digest():
+    assert oracle_digest() == ORACLE_DIGEST
+
+
 if __name__ == "__main__":
-    started = time.perf_counter()
-    print(structural_digest(), f"{time.perf_counter() - started:.2f} s")
+    for compute in (structural_digest, oracle_digest):
+        started = time.perf_counter()
+        print(compute(), f"{time.perf_counter() - started:.2f} s")
