@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Iterator
 
 from .core import GeneratorSet
@@ -46,28 +47,15 @@ class InstanceResult:
 
 def all_maps(n: int) -> list[tuple[int, ...]]:
     """Every transformation of degree n as an image tuple, lexicographic."""
-    maps = [()]
-    for _ in range(n):
-        maps = [m + (q,) for m in maps for q in range(1, n + 1)]
-    return maps
+    return list(product(range(1, n + 1), repeat=n))
 
 
 def exhaustive_generator_sets(n: int, k_max: int) -> Iterator[GeneratorSet]:
     """All generator tuples of degree n with 1..k_max generators, in order."""
     maps = all_maps(n)
     for k in range(1, k_max + 1):
-        for combo in _tuples(maps, k):
+        for combo in product(maps, repeat=k):
             yield GeneratorSet.from_maps(list(combo))
-
-
-def _tuples(pool, k):
-    if k == 1:
-        for m in pool:
-            yield (m,)
-        return
-    for rest in _tuples(pool, k - 1):
-        for m in pool:
-            yield rest + (m,)
 
 
 def seeded_instances(seed: int, samples: int, n_max: int,

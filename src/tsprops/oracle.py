@@ -10,12 +10,18 @@ associativity alone (left/right zeros, identities, commuting, centrality),
 the loop runs over generators.  R-triviality takes the right-multiplication
 graph's components from ``graph.strong_components``, which the structural
 ``r-trivial`` does not use.
+
+Each fact derived from the table is computed once and cached on it: the
+idempotent mask and powers, the left-zero, right-zero and zero masks, the
+left- and right-identity masks (all four from one generator equation), and
+the stable power of the chain S, S², S³, ….  The checkers and witness
+replay read them from there rather than computing them again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import lcm
 
@@ -118,6 +124,34 @@ class ElementTable:
         """Row-wise s^(omega+1)."""
         return _compose_rows(self.power_uniform, self.maps)
 
+    @cached_property
+    def left_zero_mask(self) -> np.ndarray:
+        return _generator_equation(self, "left", to_generator=False)
+
+    @cached_property
+    def right_zero_mask(self) -> np.ndarray:
+        return _generator_equation(self, "right", to_generator=False)
+
+    @cached_property
+    def zero_mask(self) -> np.ndarray:
+        return self.left_zero_mask & self.right_zero_mask
+
+    @cached_property
+    def left_identity_mask(self) -> np.ndarray:
+        return _generator_equation(self, "left", to_generator=True)
+
+    @cached_property
+    def right_identity_mask(self) -> np.ndarray:
+        return _generator_equation(self, "right", to_generator=True)
+
+    @cached_property
+    def stable_power(self) -> tuple[int, np.ndarray]:
+        """(d, mask of S^d) for the first S^d with S^(d+1) = S^d; only the
+        last mask of ``set_powers`` is kept, as the chain can be |S| long."""
+        for d, power in enumerate(set_powers(self), start=1):
+            pass
+        return d, power
+
 
 def enumerate_semigroup(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> ElementTable:
     """BFS closure of the generators under right multiplication.
@@ -186,54 +220,32 @@ def times_generators(table: ElementTable, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator_equation(table: ElementTable, side: str, to_generator: bool) -> np.ndarray:
+    """Mask of the s with s.a (``side`` "left") or a.s ("right") equal to a
+    if ``to_generator``, else to s, for every generator a.
+
+    l.s = l for all s reduces to generators: l.(ab) = (l.a).b; l.s = s too,
+    as l.(ab) = (l.a).b = ab; right zeros and identities likewise."""
+    maps = table.maps
+    mask = np.ones(len(table), dtype=bool)
+    for a in table.generator_arrays:
+        applied = a[maps] if side == "left" else maps[:, a]
+        mask &= (applied == (a if to_generator else maps)).all(axis=1)
+    return mask
+
+
 def zero_index(table: ElementTable) -> int | None:
     """Index of the (necessarily unique) two-sided zero, if any."""
-    both = _left_zero_mask(table) & _right_zero_mask(table)
-    hits = np.flatnonzero(both)
+    hits = np.flatnonzero(table.zero_mask)
     return int(hits[0]) if hits.size else None
 
 
-def _left_zero_mask(table: ElementTable) -> np.ndarray:
-    # l.s = l for all s reduces to generators: l.(ab) = (l.a).b.
-    maps, A = table.maps, table.generator_arrays
-    mask = np.ones(len(table), dtype=bool)
-    for c in range(A.shape[0]):
-        mask &= (A[c][maps] == maps).all(axis=1)
-    return mask
-
-
-def _right_zero_mask(table: ElementTable) -> np.ndarray:
-    # s.r = r for all s reduces to generators likewise.
-    maps, A = table.maps, table.generator_arrays
-    mask = np.ones(len(table), dtype=bool)
-    for c in range(A.shape[0]):
-        mask &= (maps[:, A[c]] == maps).all(axis=1)
-    return mask
-
-
-def _left_identity_mask(table: ElementTable) -> np.ndarray:
-    # l.s = s for all s reduces to generators: l.(ab) = (l.a).b = ab.
-    maps, A = table.maps, table.generator_arrays
-    mask = np.ones(len(table), dtype=bool)
-    for c in range(A.shape[0]):
-        mask &= (A[c][maps] == A[c][np.newaxis, :]).all(axis=1)
-    return mask
-
-
-def _right_identity_mask(table: ElementTable) -> np.ndarray:
-    maps, A = table.maps, table.generator_arrays
-    mask = np.ones(len(table), dtype=bool)
-    for c in range(A.shape[0]):
-        mask &= (maps[:, A[c]] == A[c][np.newaxis, :]).all(axis=1)
-    return mask
-
-
 def left_identity_indices(table: ElementTable) -> list[int]:
-    return [int(i) for i in np.flatnonzero(_left_identity_mask(table))]
+    return np.flatnonzero(table.left_identity_mask).tolist()
 
 
 def right_identity_indices(table: ElementTable) -> list[int]:
-    return [int(i) for i in np.flatnonzero(_right_identity_mask(table))]
+    return np.flatnonzero(table.right_identity_mask).tolist()
 
 
 def set_powers(table: ElementTable) -> Iterator[np.ndarray]:
@@ -251,14 +263,12 @@ def set_powers(table: ElementTable) -> Iterator[np.ndarray]:
 
 
 def nilpotency_degree(table: ElementTable) -> int | None:
-    """Least d with S^d = {zero}, or None when S is not nilpotent."""
-    z = zero_index(table)
-    if z is None:
+    """Least d with S^d = {zero}, or None when S is not nilpotent.  As
+    {zero}·A = {zero}, that can hold only at ``table.stable_power``."""
+    if zero_index(table) is None:
         return None
-    for d, power in enumerate(set_powers(table), start=1):
-        if power[z] and power.sum() == 1:
-            return d
-    return None
+    d, power = table.stable_power
+    return d if power.sum() == 1 else None
 
 
 def _word_between(table: ElementTable, src: int, dst: int) -> tuple[int, ...]:
@@ -353,27 +363,12 @@ def _check_semilattice(table):
     return _check_commutative(table)
 
 
-def _check_left_zero(table):
-    hits = np.flatnonzero(_left_zero_mask(table))
+def _check_certificate(table, role):
+    # role is "left-zero", "right-zero" or "zero", named as the table's mask.
+    hits = np.flatnonzero(getattr(table, role.replace("-", "_") + "_mask"))
     if hits.size:
-        return Verdict.TRUE, {"kind": "element-certificate", "role": "left-zero",
+        return Verdict.TRUE, {"kind": "element-certificate", "role": role,
                               "element": table.describe(int(hits[0]))}
-    return Verdict.FALSE, None
-
-
-def _check_right_zero(table):
-    hits = np.flatnonzero(_right_zero_mask(table))
-    if hits.size:
-        return Verdict.TRUE, {"kind": "element-certificate", "role": "right-zero",
-                              "element": table.describe(int(hits[0]))}
-    return Verdict.FALSE, None
-
-
-def _check_zero(table):
-    z = zero_index(table)
-    if z is not None:
-        return Verdict.TRUE, {"kind": "element-certificate", "role": "zero",
-                              "element": table.describe(z)}
     return Verdict.FALSE, None
 
 
@@ -386,10 +381,7 @@ def _check_nilpotent(table):
         return Verdict.TRUE, {"kind": "nilpotency-degree", "degree": degree,
                               "zero": table.describe(z)}
     # The set products stabilised above {zero}: exhibit a persistent element.
-    for core in set_powers(table):
-        pass
-    core[z] = False
-    i = int(np.flatnonzero(core)[0])
+    i = next(int(i) for i in np.flatnonzero(table.stable_power[1]) if i != z)
     return Verdict.FALSE, {"kind": "persistent-element", "element": table.describe(i)}
 
 
@@ -536,30 +528,20 @@ def _check_aperiodic(table):
     return Verdict.TRUE, None
 
 
-def _identity_list_witness(table, indices, side):
-    return {
+def _check_identities(table, side):
+    idx = np.flatnonzero(getattr(table, side + "_identity_mask"))
+    verdict = Verdict.TRUE if idx.size else Verdict.FALSE
+    return verdict, {
         "kind": "identity-list",
         "side": side,
-        "identities": [table.describe(i) for i in indices],
+        "identities": [table.describe(int(i)) for i in idx],
     }
 
 
-def _check_left_identities(table):
-    idx = left_identity_indices(table)
-    verdict = Verdict.TRUE if idx else Verdict.FALSE
-    return verdict, _identity_list_witness(table, idx, "left")
-
-
-def _check_right_identities(table):
-    idx = right_identity_indices(table)
-    verdict = Verdict.TRUE if idx else Verdict.FALSE
-    return verdict, _identity_list_witness(table, idx, "right")
-
-
 _CHECKS = {
-    "left_zero_exists": _check_left_zero,
-    "right_zero_exists": _check_right_zero,
-    "zero_exists": _check_zero,
+    "left_zero_exists": partial(_check_certificate, role="left-zero"),
+    "right_zero_exists": partial(_check_certificate, role="right-zero"),
+    "zero_exists": partial(_check_certificate, role="zero"),
     "nilpotent": _check_nilpotent,
     "commutative": _check_commutative,
     "band": _check_band,
@@ -574,8 +556,8 @@ _CHECKS = {
     "inverse_semigroup": _check_inverse,
     "r_trivial": _check_r_trivial,
     "aperiodic": _check_aperiodic,
-    "left_identities": _check_left_identities,
-    "right_identities": _check_right_identities,
+    "left_identities": partial(_check_identities, side="left"),
+    "right_identities": partial(_check_identities, side="right"),
 }
 
 PROPERTIES = tuple(sorted(_CHECKS))

@@ -26,6 +26,7 @@ from .core import (
     power,
     word_to_transformation,
 )
+from .errors import EnumerationCapExceeded
 from .graph import transformation_graph, undirected_components
 from .identity_engine import parse_quasi_identity
 from .oracle import (
@@ -35,7 +36,6 @@ from .oracle import (
     left_identity_indices,
     nilpotency_degree,
     right_identity_indices,
-    set_powers,
 )
 from .report import PropertyReport
 
@@ -230,6 +230,12 @@ def _check_inverse_count(gens, w, get_table):
 def _check_enumeration_cap(gens, w, get_table):
     if w["cap"] < 1:
         _fail("cap must be positive")
+    # Enumerates at most cap + 1 elements before the cap stops it.
+    try:
+        enumerate_semigroup(gens, w["cap"])
+    except EnumerationCapExceeded:
+        return
+    _fail(f"the semigroup fits within the cap {w['cap']}")
 
 
 def _check_state_budget(gens, w, get_table):
@@ -286,9 +292,7 @@ def _check_persistent_element(gens, w, get_table):
     if nilpotency_degree(table) is not None:
         _fail("the semigroup is nilpotent; nothing persists but the zero")
     # The stable core of the set-product iteration S, S², S³, …
-    for core in set_powers(table):
-        pass
-    if idx is None or not core[idx]:
+    if idx is None or not table.stable_power[1][idx]:
         _fail("element does not persist in high powers of S")
 
 

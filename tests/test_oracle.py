@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import full_monoid
+from tsprops import oracle
 from tsprops.crosscheck import exhaustive_generator_sets
 from tsprops.core import (
     GeneratorSet,
@@ -31,6 +33,7 @@ from tsprops.oracle import (
     weak_inverse_exponent_check,
     zero_index,
 )
+from tsprops.witnesses import verify_witness
 
 SIGMA = GeneratorSet.from_maps([(2, 3, 1)])
 CONSTS = GeneratorSet.from_maps([(1, 1, 1), (2, 2, 2)])
@@ -168,6 +171,29 @@ def test_set_powers_shrink_to_their_fixed_point():
         last = {tuple(table.element(int(i)).map)
                 for i in np.flatnonzero(powers[-1])}
         assert products == last, gens   # S^(d+1) = S^d
+
+
+def test_table_facts_are_computed_once(monkeypatch):
+    # Every check, reader and replay takes the zero, identity and
+    # stable-power facts from the table: four generator equations and one
+    # chain of set powers per table, however often they are asked for.
+    calls = Counter()
+    for name in ("_generator_equation", "set_powers"):
+        def counted(*args, _name=name, _original=getattr(oracle, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+    # A zero and a persisting swap: the nilpotent check ends in the stable
+    # power, and its persistent-element witness replays from it.
+    table = enumerate_semigroup(GeneratorSet.from_maps([(2, 1, 3), (3, 3, 3)]))
+    for _ in range(2):
+        for key in PROPERTIES:
+            assert verify_witness(table.gens, definitional_check(table, key),
+                                  table)
+        zero_index(table), nilpotency_degree(table)
+        left_identity_indices(table), right_identity_indices(table)
+    assert calls == {"_generator_equation": 4, "set_powers": 1}
 
 
 def test_definitional_verdicts_on_known_instances():

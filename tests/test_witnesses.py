@@ -172,7 +172,7 @@ def test_tampered_witnesses_are_rejected(harvest):
 
 
 def test_none_witness_passes_trivially():
-    assert verify_witness(S3GEN, {"kind": "enumeration-cap", "cap": 3})
+    assert verify_witness(S3GEN, {"kind": "enumeration-cap", "cap": 2})
     report_like = None
     # a report whose witness is None verifies without any work
     from tsprops.report import ReportBuilder
@@ -233,7 +233,8 @@ def test_identity_list_completeness_enforced():
 LIMITS = {
     EnumerationCapExceeded: (
         "enumeration-cap", T3, "regular", 5,
-        [lambda w: w.update(cap=0), lambda w: w.update(cap=-2)]),
+        [lambda w: w.update(cap=0), lambda w: w.update(cap=-2),
+         lambda w: w.update(cap=27)]),   # |T3| = 27
     StateBudgetExceeded: (
         "state-budget", gen_set((2, 3, 1, 4), (1, 1, 3, 4)), "band", 1000,
         [lambda w: w.update(budget=0), lambda w: w.update(states=w["budget"]),
