@@ -210,10 +210,20 @@ class GeneratorSet:
         return self.generators[i]
 
 
+def _letter(gens: GeneratorSet, c: int) -> Transformation:
+    """The generator a word's letter ``c`` names; letters run over 1..k."""
+    if not 1 <= c <= len(gens.generators):
+        raise ValueError(f"letter {c!r} is not a generator index in "
+                         f"1..{len(gens.generators)}")
+    return gens.generators[c - 1]
+
+
 def apply_word(gens: GeneratorSet, q: int, word: Sequence[int]) -> int:
     """Image of point ``q`` under the word (1-indexed generator indices)."""
+    if not 1 <= q <= gens.degree:
+        raise ValueError(f"{q!r} is not a point in 1..{gens.degree}")
     for c in word:
-        q = gens.generators[c - 1].map[q - 1]
+        q = _letter(gens, c).map[q - 1]
     return q
 
 
@@ -221,7 +231,7 @@ def word_to_transformation(gens: GeneratorSet, word: Sequence[int]) -> Transform
     """The element named by a word; the empty word gives the identity map."""
     out = Transformation.identity(gens.degree)
     for c in word:
-        out = compose(out, gens.generators[c - 1])
+        out = compose(out, _letter(gens, c))
     return out
 
 

@@ -6,10 +6,11 @@ module generates instance streams (exhaustive and seeded-random), runs both
 engines on each instance, and aggregates any disagreement into a
 deterministic, JSON-ready summary.  The two routes stay independent: the
 structural side never sees the element table, the oracle side never sees
-the structural verdict, and no property runs ``graph.strong_components`` on
-both sides (``tests/test_layering.py`` checks this), although structural
-``regular`` and oracle ``r_trivial`` both use it.  A sweep stops at the
-first instance past the element cap, with ``EnumerationCapExceeded``.
+the structural verdict, and no property runs ``graph.strong_components`` or
+``graph.search`` on both sides (``tests/test_layering.py`` checks this),
+although structural ``regular`` and oracle ``r_trivial`` both use them.  A
+sweep stops at the first instance past the element cap, with
+``EnumerationCapExceeded``.
 """
 
 from __future__ import annotations
@@ -45,17 +46,17 @@ class InstanceResult:
         return not self.mismatches
 
 
-def all_maps(n: int) -> list[tuple[int, ...]]:
-    """Every transformation of degree n as an image tuple, lexicographic."""
-    return list(product(range(1, n + 1), repeat=n))
-
-
 def exhaustive_generator_sets(n: int, k_max: int) -> Iterator[GeneratorSet]:
-    """All generator tuples of degree n with 1..k_max generators, in order."""
-    maps = all_maps(n)
+    """All generator tuples of degree n with 1..k_max generators, in order.
+
+    A tuple of k maps is one run of n*k points cut into k maps, so the
+    tuples come in lexicographic order of their maps one at a time, with
+    no list of all n**n maps held.
+    """
     for k in range(1, k_max + 1):
-        for combo in product(maps, repeat=k):
-            yield GeneratorSet.from_maps(list(combo))
+        for points in product(range(1, n + 1), repeat=n * k):
+            yield GeneratorSet.from_maps(
+                [points[i:i + n] for i in range(0, n * k, n)])
 
 
 def seeded_instances(seed: int, samples: int, n_max: int,

@@ -18,7 +18,9 @@ first generator mapping the parent to the child, and the source the first
 one with a generator mapping it to the path's first tuple, which is what
 the search took.
 
-``multi_tuple_reachability`` stops at the first target and traces its word.
+``multi_tuple_reachability`` stops at the first target and traces its word;
+the oracle's R-triviality check searches from one element's map the same
+way for its connecting words.
 
 ``closure`` grows a set under any step function, with no order and no
 words: ``reach_set`` closes a tuple's successors under a successor function

@@ -3,13 +3,17 @@ directly from their definitions.
 
 The enumeration is a breadth-first closure under right multiplication by
 generators, so element ``i``'s canonical word (shortest, then lexicographically
-least by generator index) is recovered by following discovery parents.
+least by generator index) is recovered by following discovery parents.  One
+pure-Python pass over map tuples fills the index, the parents and the right
+Cayley graph ``succ`` together, as Froidure and Pin's enumeration does; the
+numpy arrays the vectorised checkers read are built once, at the end.
 Universally quantified conditions are evaluated over the whole element table;
 where a condition over all elements provably reduces to the generator case by
 associativity alone (left/right zeros, identities, commuting, centrality),
 the loop runs over generators.  R-triviality takes the right-multiplication
-graph's components from ``graph.strong_components``, which the structural
-``r-trivial`` does not use.
+graph's components from ``graph.strong_components`` and its connecting words
+from ``graph.search`` and ``graph.trace``; the structural ``r-trivial`` uses
+neither.
 
 Each fact derived from the table is computed once and cached on it: the
 idempotent mask and powers, the left-zero, right-zero and zero masks, the
@@ -22,14 +26,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property, partial
-from itertools import product
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 import numpy as np
 
 from .core import DEFAULT_CAP, GeneratorSet, Transformation
 from .errors import EnumerationCapExceeded, StateBudgetExceeded, UnknownPropertyError
-from .graph import strong_components
+from .graph import search, strong_components, trace
 from .report import PropertyReport, ReportBuilder, Verdict
 
 
@@ -54,47 +59,49 @@ def _power_rows(maps: np.ndarray, e: int) -> np.ndarray:
 class ElementTable:
     """Every element of the generated semigroup, in canonical word order."""
 
-    def __init__(self, gens: GeneratorSet, maps: np.ndarray, parents: np.ndarray,
-                 gen_of: np.ndarray, succ: np.ndarray, index: dict[bytes, int]):
+    def __init__(self, gens: GeneratorSet, elements: list[tuple[int, ...]],
+                 parents: list[int], letters: list[int],
+                 succ: list[int], index: dict[tuple[int, ...], int]):
         self.gens = gens
-        self.degree = gens.degree
-        self.maps = maps        # (m, n) int16, 0-indexed images
-        self.succ = succ        # (m, k) int32; succ[i, c] = index of element i followed by generator c+1
+        self.degree = n = gens.degree
+        images = np.fromiter(chain.from_iterable(elements), np.int16, len(elements) * n)
+        self.maps = images.reshape(-1, n) - 1   # (m, n) int16, 0-indexed images
+        # (m, k) int32; succ[i, c] = index of element i followed by generator c+1
+        self.succ = np.array(succ, dtype=np.int32).reshape(-1, len(gens))
+        self._elements = elements
         self._parents = parents
-        self._gen_of = gen_of
+        self._letters = letters
         self._index = index
 
     def __len__(self) -> int:
-        return int(self.maps.shape[0])
+        return len(self._elements)
 
     def word(self, i: int) -> tuple[int, ...]:
         """Canonical word (1-indexed generator indices) for element ``i``."""
         out = []
         while i >= 0:
-            out.append(int(self._gen_of[i]) + 1)
-            i = int(self._parents[i])
+            out.append(self._letters[i])
+            i = self._parents[i]
         return tuple(reversed(out))
 
     def element(self, i: int) -> Transformation:
-        return Transformation(self.degree, tuple(int(x) + 1 for x in self.maps[i]))
+        return Transformation(self.degree, self._elements[i])
 
     def index_of(self, t: Transformation) -> int | None:
-        key = (np.asarray(t.map, dtype=np.int16) - 1).tobytes()
-        return self._index.get(key)
+        return self._index.get(t.map)
 
     def describe(self, i: int) -> dict:
         """Witness fragment naming element ``i``."""
-        return {"map": [int(x) + 1 for x in self.maps[i]], "word": list(self.word(i))}
+        return {"map": list(self._elements[i]), "word": list(self.word(i))}
 
     @cached_property
     def generator_arrays(self) -> np.ndarray:
-        return np.stack([np.asarray(g.map, dtype=np.int16) - 1
-                         for g in self.gens.generators])
+        return self.maps[self.generator_indices]
 
     @cached_property
     def generator_indices(self) -> list[int]:
         # Table index of each generator (duplicates share an element).
-        return [self._index[row.tobytes()] for row in self.generator_arrays]
+        return [self._index[g.map] for g in self.gens.generators]
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -156,55 +163,37 @@ class ElementTable:
 def enumerate_semigroup(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> ElementTable:
     """BFS closure of the generators under right multiplication.
 
-    Raises EnumerationCapExceeded as soon as the element count would pass
-    ``cap``.
+    Each element is taken in discovery order and multiplied by every
+    generator in turn, so the same pass that finds the elements fills in
+    their rows of ``succ``.  Raises EnumerationCapExceeded as soon as the
+    element count would pass ``cap``.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    k = len(gens)
-    A = np.stack([np.asarray(g.map, dtype=np.int16) - 1 for g in gens.generators])
-    index: dict[bytes, int] = {}
-    rows: list[np.ndarray] = []
-    parents: list[int] = []
-    gen_of: list[int] = []
-    for c in range(k):
-        key = A[c].tobytes()
-        if key not in index:
-            index[key] = len(rows)
-            rows.append(A[c])
-            parents.append(-1)
-            gen_of.append(c)
-    succ_blocks: list[np.ndarray] = []
-    start = 0
-    while start < len(rows):
-        stop = len(rows)
-        frontier = np.stack(rows[start:stop])
-        news = [A[c][frontier] for c in range(k)]
-        block = np.empty((stop - start, k), dtype=np.int32)
-        for r in range(stop - start):
-            for c in range(k):
-                row = news[c][r]
-                key = row.tobytes()
-                j = index.get(key)
-                if j is None:
-                    if len(rows) >= cap:
-                        raise EnumerationCapExceeded(cap)
-                    j = len(rows)
-                    index[key] = j
-                    rows.append(row.copy())
-                    parents.append(start + r)
-                    gen_of.append(c)
-                block[r, c] = j
-        succ_blocks.append(block)
-        start = stop
-    return ElementTable(
-        gens,
-        np.stack(rows),
-        np.asarray(parents, dtype=np.int32),
-        np.asarray(gen_of, dtype=np.int16),
-        np.concatenate(succ_blocks),
-        index,
-    )
+    by_point = [(0,) + g.map for g in gens.generators]
+    elements: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    parents: list[int] = []     # -1 for a generator
+    letters: list[int] = []     # last letter of the canonical word
+    succ: list[int] = []        # row-major, one row of k per element
+    # The generators are the identity's products, taken first; the identity
+    # is an element only if a product reaches it.
+    identity = tuple(range(1, gens.degree + 1))
+    for i, t in chain([(-1, identity)], enumerate(elements)):
+        # t·g reads g at t's images; itemgetter of one index gives no tuple.
+        times = itemgetter(*t) if len(t) > 1 else lambda g, q=t[0]: (g[q],)
+        for c, g in enumerate(by_point, start=1):
+            u = times(g)
+            j = index.get(u)
+            if j is None:
+                if len(elements) >= cap:
+                    raise EnumerationCapExceeded(cap)
+                j = index[u] = len(elements)
+                elements.append(u)
+                parents.append(i)
+                letters.append(c)
+            succ.append(j)
+    return ElementTable(gens, elements, parents, letters, succ[len(gens):], index)
 
 
 def times_generators(table: ElementTable, mask: np.ndarray) -> np.ndarray:
@@ -273,27 +262,11 @@ def nilpotency_degree(table: ElementTable) -> int | None:
 
 def _word_between(table: ElementTable, src: int, dst: int) -> tuple[int, ...]:
     """Shortest-lex word w with src.w = dst in the right-multiplication graph."""
-    from collections import deque
-
-    back: dict[int, tuple[int, int]] = {}
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for c in range(table.succ.shape[1]):
-            w = int(table.succ[v, c])
-            if w not in seen:
-                seen.add(w)
-                back[w] = (v, c)
-                if w == dst:
-                    out = []
-                    cur = dst
-                    while cur != src:
-                        prev, cc = back[cur]
-                        out.append(cc + 1)
-                        cur = prev
-                    return tuple(reversed(out))
-                queue.append(w)
+    source, target = table._elements[src], table._elements[dst]
+    parent: dict = {}
+    for t in search(table.gens, [source], parent):
+        if t == target:
+            return trace(table.gens, [source], parent, t)[1]
     raise RuntimeError("no connecting word; this is a bug")
 
 
@@ -600,11 +573,12 @@ def models_by_enumeration(table: ElementTable, qid,
         raise StateBudgetExceeded(m * m, max_assignments)
 
     # Pair-product table: prod[i, j] = index of element i followed by element j.
-    maps = table.maps
-    prod = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        block = maps[:, maps[i]]
-        prod[i] = [table._index[row.tobytes()] for row in block]
+    # Element j is its parent followed by generator c, so column j is one
+    # gather of column parent(j) through succ; parents come first.
+    succ = table.succ
+    prod = np.empty((m, m), dtype=np.int32, order="F")
+    for j, (p, c) in enumerate(zip(table._parents, table._letters)):
+        prod[:, j] = succ[:, c - 1] if p < 0 else succ[prod[:, p], c - 1]
 
     shape = [len(p) for p in pools]
     axes = [np.asarray(p, dtype=np.int32).reshape(

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     GeneratorSet,
     Transformation,
+    apply_word,
     compose,
     fixed_points,
     idempotent_power_exponent,
@@ -58,13 +59,6 @@ def _element(gens: GeneratorSet, desc: Mapping, label: str) -> Transformation:
         _fail(f"{label}: word {word} replays to {list(t.map)}, "
               f"not the reported {list(desc['map'])}")
     return t
-
-
-def _walk(gens: GeneratorSet, start: int, word) -> int:
-    q = start
-    for i in word:
-        q = gens[i - 1].apply(q)
-    return q
 
 
 def _is_graph_edge(gens: GeneratorSet, u: int, v: int) -> bool:
@@ -120,9 +114,11 @@ def _check_point_misses_fixed(gens, w, get_table):
     fix = sorted(fixed_points(gens))
     if fix != list(w["fixed_points"]):
         _fail(f"fixed points are {fix}, reported {w['fixed_points']}")
+    q = w["point"]
+    if not 1 <= q <= gens.degree:
+        _fail(f"{q} is not a point in 1..{gens.degree}")
     if not fix:
         return
-    q = w["point"]
     table = get_table()
     targets = np.array(fix, dtype=table.maps.dtype) - 1
     if bool(np.isin(table.maps[:, q - 1], targets).any()):
@@ -153,8 +149,7 @@ def _check_image_collapse(gens, w, get_table):
     word = w["word"]
     if u == v or not word:
         _fail("collapse witness needs u != v and a nonempty word")
-    got = (_walk(gens, p, word), _walk(gens, q, word),
-           _walk(gens, u, word), _walk(gens, v, word))
+    got = tuple(apply_word(gens, point, word) for point in (p, q, u, v))
     if got[0] != u or got[1] != v:
         _fail(f"word sends ({p},{q}) to {got[:2]}, not ({u},{v})")
     if got[2] != got[3]:
@@ -442,7 +437,9 @@ def verify_witness(gens: GeneratorSet,
     """Replay a report's witness; raise WitnessReplayError on any mismatch.
 
     Reports without a witness verify trivially.  Negative claims are settled
-    against a full element table, built here unless one is supplied.
+    against a full element table, built here unless one is supplied.  A
+    malformed witness (a missing field, a value of the wrong type, a letter
+    outside 1..k, a point outside 1..n) fails to replay as well.
     """
     witness = report.witness if isinstance(report, PropertyReport) else report
     if witness is None:
@@ -458,5 +455,8 @@ def verify_witness(gens: GeneratorSet,
             built[0] = enumerate_semigroup(gens, cap)
         return built[0]
 
-    _HANDLERS[kind](gens, witness, get_table)
+    try:
+        _HANDLERS[kind](gens, witness, get_table)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise WitnessReplayError(f"malformed {kind} witness: {exc}") from exc
     return True

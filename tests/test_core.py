@@ -146,6 +146,19 @@ def test_words_and_application():
             assert t.apply(q) == apply_word(gs, q, word)
 
 
+@pytest.mark.parametrize("letter", [0, -1, 3])
+def test_words_reject_letters_outside_the_generators(letter):
+    # Letters index the generators from 1 to k; 0 and -1 must not wrap round
+    # to the last generators, nor k + 1 escape as an IndexError.
+    gens = GeneratorSet.from_maps([(2, 3, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="generator index"):
+        word_to_transformation(gens, (1, letter))
+    with pytest.raises(ValueError, match="generator index"):
+        apply_word(gens, 1, (letter,))
+    with pytest.raises(ValueError, match="not a point"):
+        apply_word(gens, 4, (1,))
+
+
 def test_fixed_points_and_image():
     gens = GeneratorSet.from_maps([(1, 1, 3), (1, 2, 3)])
     assert fixed_points(gens) == frozenset({1, 3})

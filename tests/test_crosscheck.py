@@ -1,9 +1,9 @@
 import dataclasses
 import json
+from itertools import product
 
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.crosscheck import (
-    all_maps,
     check_instance,
     exhaustive_generator_sets,
     run_sweep,
@@ -21,13 +21,6 @@ def gen_set(*maps):
     return GeneratorSet(n, tuple(Transformation(n, m) for m in maps))
 
 
-def test_all_maps_lexicographic():
-    assert all_maps(1) == [(1,)]
-    assert all_maps(2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(all_maps(3)) == 27
-    assert all_maps(3)[0] == (1, 1, 1) and all_maps(3)[-1] == (3, 3, 3)
-
-
 def test_exhaustive_generator_sets_counts_and_order():
     sets = list(exhaustive_generator_sets(2, 2))
     assert len(sets) == 4 + 16
@@ -39,6 +32,19 @@ def test_exhaustive_generator_sets_counts_and_order():
     # no dedup across positions
     maps_seen = {tuple(t.map for t in g) for g in sets}
     assert len(maps_seen) == 20
+    # single maps come in lexicographic order
+    assert [g[0].map for g in exhaustive_generator_sets(1, 1)] == [(1,)]
+    assert [g[0].map for g in sets[:4]] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    threes = list(exhaustive_generator_sets(3, 1))
+    assert len(threes) == 27
+    assert threes[0][0].map == (1, 1, 1) and threes[-1][0].map == (3, 3, 3)
+    # k-tuples in lexicographic order of their maps, one map at a time
+    for n, k in product((1, 2, 3), (1, 2)):
+        maps = list(product(range(1, n + 1), repeat=n))
+        expected = [combo for j in range(1, k + 1)
+                    for combo in product(maps, repeat=j)]
+        assert [tuple(t.map for t in g)
+                for g in exhaustive_generator_sets(n, k)] == expected
 
 
 def test_seeded_instances_reproducible():

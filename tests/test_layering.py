@@ -7,11 +7,14 @@ imports inside functions.  The front end's modules may import the oracle,
 the witness replay and the sweeps only inside functions, so that importing
 the package or the CLI loads none of them.
 
-The two judges do share ``graph.strong_components``: structural
-``regular`` and ``inverse`` reach it through ``image_orbit``, and the
-oracle's ``r_trivial`` calls it.  The cross-check stays a cross-check only
-while no property runs it on both routes, which the last test checks by
-running every property's two routes with the routine wrapped.
+The two judges do share two routines of ``graph``.  Structural ``regular``
+and ``inverse`` reach ``strong_components`` through ``image_orbit``, and
+the oracle's ``r_trivial`` calls it for the R-classes.  Structural searches
+(``pspace_search`` among them) walk tuples with ``search``, and the
+oracle's ``r_trivial`` calls it, with ``trace``, for its connecting words.
+The cross-check stays a cross-check only while no property runs either
+routine on both routes, which the last two tests check by running every
+property's two routes with the routine wrapped.
 """
 
 import ast
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import tsprops
-from tsprops import graph, image_orbit, nl_checks, oracle
+from tsprops import graph, image_orbit, nl_checks, oracle, pspace_search
 from tsprops.core import GeneratorSet
 from tsprops.crosscheck import seeded_instances
 from tsprops.fo_checks import is_commutative
@@ -70,16 +73,19 @@ def test_front_end_module_level_imports_no_numpy_nor_oracle(module):
     assert not FRONT_END_FORBIDDEN & imported
 
 
-def test_no_property_runs_strong_components_on_both_routes(monkeypatch):
-    strong_components = graph.strong_components
+def _routes_meeting(monkeypatch, name, modules):
+    """Property name -> the routes ("structural", "oracle") on which it
+    calls the routine ``name`` of ``graph``, wrapped in each of ``modules``
+    that imports it, over a small pool of instances."""
+    original = getattr(graph, name)
     calls = []
 
-    def counted(succ):
-        calls.append(len(succ))
-        return strong_components(succ)
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
 
-    for module in (graph, image_orbit, oracle, nl_checks):
-        monkeypatch.setattr(module, "strong_components", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
 
     pool = [GeneratorSet.from_maps(maps) for maps in (
         [(2, 3, 1)],                                # sigma
@@ -92,7 +98,7 @@ def test_no_property_runs_strong_components_on_both_routes(monkeypatch):
     tables = [oracle.enumerate_semigroup(gens) for gens in pool]
 
     used = {}
-    for name, (structural, oracle_key) in REGISTRY.items():
+    for prop, (structural, oracle_key) in REGISTRY.items():
         sides = set()
         for gens, table in zip(pool, tables):
             calls.clear()
@@ -104,8 +110,23 @@ def test_no_property_runs_strong_components_on_both_routes(monkeypatch):
             oracle.definitional_check(table, oracle_key)
             if calls:
                 sides.add("oracle")
-        used[name] = sides
-        assert sides != {"structural", "oracle"}, name
+        used[prop] = sides
+    return used
+
+
+def test_no_property_runs_strong_components_on_both_routes(monkeypatch):
+    used = _routes_meeting(monkeypatch, "strong_components",
+                           (graph, image_orbit, oracle, nl_checks))
+    for prop, sides in used.items():
+        assert sides != {"structural", "oracle"}, prop
     # The guard is not vacuous: the routine is met on each side.
+    assert "structural" in used["regular"]
+    assert "oracle" in used["r-trivial"]
+
+
+def test_no_property_runs_search_on_both_routes(monkeypatch):
+    used = _routes_meeting(monkeypatch, "search", (graph, pspace_search, oracle))
+    for prop, sides in used.items():
+        assert sides != {"structural", "oracle"}, prop
     assert "structural" in used["regular"]
     assert "oracle" in used["r-trivial"]

@@ -113,6 +113,49 @@ def test_enumeration_cap():
     assert len(enumerate_semigroup(SIGMA, cap=3)) == 3
 
 
+def test_enumeration_cap_boundary_on_random_sets():
+    # The cap bounds every element, the generators included: two distinct
+    # constants once made a table of 2 under cap 1.
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_semigroup(CONSTS, cap=1)
+    rng = random.Random(32)
+    tried = 0
+    for _ in range(60):
+        gens = rand_gens(rng)
+        size = len(enumerate_semigroup(gens))
+        if size < 2:
+            continue
+        assert len(enumerate_semigroup(gens, cap=size)) == size
+        with pytest.raises(EnumerationCapExceeded) as e:
+            enumerate_semigroup(gens, cap=size - 1)
+        assert e.value.witness == {"kind": "enumeration-cap", "cap": size - 1}
+        tried += 1
+    assert tried > 30
+
+
+def test_generator_rows_with_duplicate_generators():
+    rng = random.Random(33)
+    for _ in range(20):
+        gens = rand_gens(rng)
+        maps = [g.map for g in gens.generators]
+        gens = GeneratorSet.from_maps(maps + maps[:1] + maps[::-1])
+        table = enumerate_semigroup(gens)
+        for c, g in enumerate(gens.generators):
+            i = table.generator_indices[c]
+            assert table.element(i) == g
+            assert table.generator_arrays[c].tolist() == [q - 1 for q in g.map]
+        assert table.generator_arrays.dtype == table.maps.dtype
+
+
+def test_describe_reads_the_element():
+    rng = random.Random(34)
+    for _ in range(20):
+        table = enumerate_semigroup(rand_gens(rng))
+        for i in range(len(table)):
+            assert table.describe(i)["map"] == list(table.element(i).map)
+            assert table.describe(i)["map"] == (table.maps[i] + 1).tolist()
+
+
 def test_zero_index():
     assert zero_index(enumerate_semigroup(CONSTS)) is None  # two right zeros
     table = enumerate_semigroup(COLLAPSE)

@@ -257,6 +257,71 @@ def test_every_limit_witness_replays_and_rejects_tampering(monkeypatch):
                 verify_witness(gens, bad)
 
 
+# kind -> the path to a word inside a witness of that kind
+WORD_PATHS = {
+    "image-collapse": ("word",),
+    "quasi-identity-counterexample": ("assignment", 0, "word"),
+    "assignment-counterexample": ("assignment", 0, "element", "word"),
+    "non-regular-element": ("element", "word"),
+    "mutually-reachable-pair": ("word_right_to_left",),
+    "periodic-element": ("element", "word"),
+    "non-central-idempotent": ("other", "word"),
+}
+
+
+def test_letters_outside_the_generators_fail_to_replay(harvest):
+    # Letter -1 once replayed as the last generator, so this held.
+    rotate_collapse = gen_set((2, 3, 1), (1, 1, 3))
+    periodic = {"kind": "periodic-element",
+                "element": {"map": [2, 3, 1], "word": [-1]}}
+    with pytest.raises(WitnessReplayError):
+        verify_witness(rotate_collapse, periodic)
+    tried = 0
+    for kind, path in WORD_PATHS.items():
+        for gens, table, witness in harvest[kind]:
+            for letter in (0, -1, len(gens) + 1):
+                bad = copy.deepcopy(witness)
+                word = bad
+                for step in path:
+                    word = word[step]
+                word[0] = letter
+                with pytest.raises(WitnessReplayError):
+                    verify_witness(gens, bad, table=table)
+                tried += 1
+    assert tried > 30
+
+
+# kind -> a field whose loss or wrong type must fail replay
+DROPPED = {
+    "non-commuting": lambda w: w.pop("point"),
+    "image-collapse": lambda w: w.pop("v"),
+    "non-regular-element": lambda w: w["element"].pop("word"),
+    "mutually-reachable-pair": lambda w: w.pop("word_right_to_left"),
+    "identity-list": lambda w: w.pop("identities"),
+    "nilpotency-degree": lambda w: w.pop("zero"),
+}
+
+
+def test_malformed_witnesses_fail_to_replay(harvest):
+    for kind, mutate in DROPPED.items():
+        gens, table, witness = harvest[kind][0]
+        bad = copy.deepcopy(witness)
+        mutate(bad)
+        with pytest.raises(WitnessReplayError, match="malformed"):
+            verify_witness(gens, bad, table=table)
+    for cap in ("2", None):
+        with pytest.raises(WitnessReplayError, match="malformed"):
+            verify_witness(S3GEN, {"kind": "enumeration-cap", "cap": cap})
+    with pytest.raises(WitnessReplayError, match="malformed"):
+        verify_witness(S3GEN, {"kind": "state-budget", "budget": 3})
+    # Point 0 once read the last point's column and replayed.
+    swap = gen_set((1, 3, 2))
+    for point in (0, -1, 4):
+        with pytest.raises(WitnessReplayError, match="not a point"):
+            verify_witness(swap, {"kind": "point-misses-fixed",
+                                  "fixed_points": [1], "point": point})
+
+
 def emitted_witness_kinds():
     """kind -> modules, for each dict literal in the package whose ``"kind"``
     is a string constant."""
