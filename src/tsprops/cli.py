@@ -7,8 +7,9 @@ instances from DFAs and digraphs), ``crosscheck`` (agreement sweeps).
 
 Exit codes: 0 TRUE/success, 1 FALSE/disagreements-found, 2 parse or input
 error (a bad option value or ``TSPROPS_CAP`` included), 3 unknown property,
-4 undecided (cap or budget hit, also when a sweep stops at one), 5 engine
-disagreement.
+4 undecided (cap or budget hit; a sweep exits 4 when it counted some
+instance past the cap as UNDECIDED and found no disagreement, or when it
+stopped at the state budget), 5 engine disagreement.
 
 The oracle and the sweeps need numpy, so they are imported inside the
 functions that run them: the structural commands start without numpy.
@@ -319,15 +320,17 @@ def cmd_crosscheck(args) -> int:
         meta = {"mode": "exhaustive"}
     try:
         summary = run_sweep(instances, cap=args.cap)
-    except EnumerationCapExceeded as exc:
-        print(f"error: a swept {exc} (--cap {exc.cap})", file=sys.stderr)
-        return EXIT_UNDECIDED
     except StateBudgetExceeded as exc:
         print(f"error: a swept instance's {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     summary.update(meta, n=args.n, k=args.k)
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_TRUE if summary["disagreements"] == 0 else EXIT_FALSE
+    if summary["disagreements"]:
+        return EXIT_FALSE
+    if any("UNDECIDED" in counts
+           for counts in summary["verdict_counts"].values()):
+        return EXIT_UNDECIDED
+    return EXIT_TRUE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -168,9 +168,11 @@ class GeneratorSet:
     degree: int
     generators: tuple[Transformation, ...]
     names: tuple[str, ...] | None = None
-    # The instance digest, kept here by ``formats.cached_instance_digest``.
-    _digest: str | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    # What has been computed about this instance: its digest, kept by
+    # ``formats.cached_instance_digest``, and the structural reports kept
+    # by ``report.remembered``.  Equal sets share nothing.
+    _facts: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))

@@ -8,9 +8,9 @@ deterministic, JSON-ready summary.  The two routes stay independent: the
 structural side never sees the element table, the oracle side never sees
 the structural verdict, and no property runs ``graph.strong_components`` or
 ``graph.search`` on both sides (``tests/test_layering.py`` checks this),
-although structural ``regular`` and oracle ``r_trivial`` both use them.  A
-sweep stops at the first instance past the element cap, with
-``EnumerationCapExceeded``.
+although structural ``regular`` and oracle ``r_trivial`` both use them.  An
+instance past the element cap has no oracle verdict: the sweep counts it as
+``UNDECIDED`` for every swept property and goes on.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .core import GeneratorSet
+from .errors import EnumerationCapExceeded
 from .formats import cached_instance_digest, render_generators
 from .oracle import (
     DEFAULT_CAP,
@@ -70,6 +71,15 @@ def seeded_instances(seed: int, samples: int, n_max: int,
         yield GeneratorSet.from_maps(maps)
 
 
+def _swept(properties: Iterable[str] | None) -> list[str]:
+    """The registry's names with a structural route, in registry order,
+    limited to ``properties`` when it is given."""
+    wanted = set(properties) if properties is not None else None
+    return [name for name, routes in REGISTRY.items()
+            if routes.structural is not None
+            and (wanted is None or name in wanted)]
+
+
 def check_instance(gens: GeneratorSet,
                    table: ElementTable | None = None,
                    properties: Iterable[str] | None = None,
@@ -78,13 +88,11 @@ def check_instance(gens: GeneratorSet,
     """Run both engines on one instance and record any disagreement."""
     if table is None:
         table = enumerate_semigroup(gens, cap)
-    wanted = set(properties) if properties is not None else None
     result = InstanceResult(gens=gens, digest=cached_instance_digest(gens),
                             element_count=len(table), verdicts={})
 
-    for name, (structural, oracle_key) in REGISTRY.items():
-        if structural is None or (wanted is not None and name not in wanted):
-            continue
+    for name in _swept(properties):
+        structural, oracle_key = REGISTRY[name]
         s_report = structural(gens, cap)
         o_report = definitional_check(table, oracle_key)
         result.verdicts[name] = {
@@ -111,19 +119,33 @@ def _identity_maps(report: PropertyReport) -> set[tuple[int, ...]] | None:
 def run_sweep(instances: Iterable[GeneratorSet],
               properties: Iterable[str] | None = None,
               cap: int = DEFAULT_CAP) -> dict:
-    """Check a stream of instances; summary is JSON-ready and timing-free."""
+    """Check a stream of instances; summary is JSON-ready and timing-free.
+
+    An instance past the element ``cap`` adds ``UNDECIDED`` to the verdict
+    counts of every swept property, and the sweep goes on.
+    """
+    swept = _swept(properties)
     totals: dict[str, dict[str, int]] = {}
     mismatch_records = []
     count = 0
     largest = 0
+
+    def tally(name: str, verdict: str) -> None:
+        bucket = totals.setdefault(name, {})
+        bucket[verdict] = bucket.get(verdict, 0) + 1
+
     for gens in instances:
         count += 1
-        res = check_instance(gens, properties=properties, cap=cap)
+        try:
+            table = enumerate_semigroup(gens, cap)
+        except EnumerationCapExceeded:
+            for name in swept:
+                tally(name, "UNDECIDED")
+            continue
+        res = check_instance(gens, table, swept, cap)
         largest = max(largest, res.element_count)
         for name, pair in res.verdicts.items():
-            bucket = totals.setdefault(name, {})
-            key = pair["oracle"]
-            bucket[key] = bucket.get(key, 0) + 1
+            tally(name, pair["oracle"])
         for name in res.mismatches:
             mismatch_records.append({
                 "digest": res.digest,

@@ -9,9 +9,10 @@ group test rests on the shared-kernel / shared-image characterization.
 from __future__ import annotations
 
 from .core import GeneratorSet, compose, image, is_idempotent, kernel
-from .report import PropertyReport, ReportBuilder
+from .report import PropertyReport, ReportBuilder, remembered
 
 
+@remembered
 def is_commutative(gens: GeneratorSet) -> PropertyReport:
     """True iff every pair of generators commutes pointwise."""
     rb = ReportBuilder("commutative", gens, "structural")

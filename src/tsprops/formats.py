@@ -106,10 +106,10 @@ def instance_digest(gens: GeneratorSet) -> str:
 
 def cached_instance_digest(gens: GeneratorSet) -> str:
     """``instance_digest(gens)``, computed once and kept on the instance."""
-    digest = gens._digest
+    facts = gens._facts
+    digest = facts.get("digest")
     if digest is None:
-        digest = instance_digest(gens)
-        object.__setattr__(gens, "_digest", digest)
+        digest = facts["digest"] = instance_digest(gens)
     return digest
 
 

@@ -54,7 +54,7 @@ from .core import GeneratorSet
 from .errors import ParseError, StateBudgetExceeded, UnknownPropertyError
 from . import graph
 from .graph import reach_set, tuple_reachability, tuple_successors
-from .report import PropertyReport, ReportBuilder
+from .report import PropertyReport, ReportBuilder, remembered
 
 _VARIABLE = re.compile(r"x([1-9])")
 
@@ -299,6 +299,7 @@ def _slot_classes(qid: QuasiIdentity) -> _Classes | None:
                     tuple(tuple(sorted(srcs)) for srcs in sources))
 
 
+@remembered
 def models(gens: GeneratorSet, qid: QuasiIdentity,
            property_name: str | None = None) -> PropertyReport:
     """TRUE iff every assignment (idempotent elements for constrained

@@ -14,9 +14,10 @@ from . import graph
 from .graph import (closure, has_cycle, multi_tuple_reachability,
                     strong_components, transformation_graph,
                     undirected_components)
-from .report import PropertyReport, ReportBuilder
+from .report import PropertyReport, ReportBuilder, remembered
 
 
+@remembered
 def has_right_zero(gens: GeneratorSet) -> PropertyReport:
     """A right zero exists iff every two points in one (undirected) component
     of the transformation graph are collapsed by some element.
@@ -55,6 +56,7 @@ def has_right_zero(gens: GeneratorSet) -> PropertyReport:
     return rb.true()
 
 
+@remembered
 def has_left_zero(gens: GeneratorSet) -> PropertyReport:
     """A left zero exists iff every point can be moved into the fixed-point
     set by some element.
@@ -84,6 +86,7 @@ def has_left_zero(gens: GeneratorSet) -> PropertyReport:
     return rb.true()
 
 
+@remembered
 def has_zero(gens: GeneratorSet) -> PropertyReport:
     """A zero exists iff both a left zero and a right zero exist."""
     rb = ReportBuilder("zero", gens, "structural")
@@ -153,6 +156,7 @@ def is_r_trivial(gens: GeneratorSet) -> PropertyReport:
     return rb.true()
 
 
+@remembered
 def is_completely_regular(gens: GeneratorSet) -> PropertyReport:
     """Completely regular iff no element collapses two points of its own image.
 
@@ -240,11 +244,11 @@ def is_regular_commutative(gens: GeneratorSet) -> PropertyReport:
     """For commutative semigroups, regular coincides with completely regular."""
     from .fo_checks import is_commutative
 
+    rb = ReportBuilder("regular", gens, "structural")
     if not is_commutative(gens).verdict:
         raise PreconditionError(
             "this regularity check applies only to commutative semigroups")
     inner = is_completely_regular(gens)
-    rb = ReportBuilder("regular", gens, "structural")
     return rb.done(inner.verdict, inner.witness)
 
 

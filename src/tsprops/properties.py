@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 
 from . import fo_checks, identity_engine, nl_checks, pspace_search
 from .core import GeneratorSet
-from .errors import PreconditionError
 from .identities_enum import left_identities, right_identities
 from .report import PropertyReport, ReportBuilder
 
@@ -34,16 +33,6 @@ def _identities_report(gens: GeneratorSet, side: str) -> PropertyReport:
                        for t, word in pairs],
     }
     return rb.true(witness) if pairs else rb.false(witness)
-
-
-def _regular_structural(gens: GeneratorSet, cap: int) -> PropertyReport:
-    # A commutative semigroup is regular exactly when it is completely
-    # regular, which the graph route decides; otherwise fall back to the
-    # enumerating search.  The graph route tests commutativity itself.
-    try:
-        return nl_checks.is_regular_commutative(gens)
-    except PreconditionError:
-        return pspace_search.is_regular_semigroup(gens, cap)
 
 
 REGISTRY: dict[str, Routes] = {
@@ -75,7 +64,8 @@ REGISTRY: dict[str, Routes] = {
                "completely_regular"),
     "clifford": Routes(lambda gens, cap: nl_checks.is_clifford(gens),
                        "clifford"),
-    "regular": Routes(_regular_structural, "regular"),
+    "regular": Routes(lambda gens, cap: pspace_search.is_regular(gens, cap),
+                      "regular"),
     "inverse":
         Routes(lambda gens, cap: pspace_search.is_inverse_semigroup(gens, cap),
                "inverse_semigroup"),

@@ -11,7 +11,8 @@ On instances whose element count exceeds the cap the search is honest about
 giving up: callers receive an UNDECIDED outcome instead of a guess.
 
 Deciding whether an element is regular is PSPACE-complete, so the structural
-``regular`` route still enumerates S up to the cap.  It does not try every t
+``regular`` route (``is_regular``, which ``inverse`` shares) still enumerates
+S up to the cap unless S is commutative.  It does not try every t
 for every s, though: it tests each (kernel, image-component) class once
 against the orbit of images under right multiplication (``image_orbit``),
 which is tiny next to S (T6 has 63 images and 46 656 elements).  See Linton,
@@ -26,10 +27,12 @@ from typing import Callable, Iterator
 
 from .core import (DEFAULT_CAP, GeneratorSet, Transformation,
                    idempotent_power_exponent, power)
-from .errors import DegreeMismatchError, EnumerationCapExceeded
+from .errors import (DegreeMismatchError, EnumerationCapExceeded,
+                     PreconditionError)
 from .graph import search, trace
 from .image_orbit import image_orbit
-from .report import PropertyReport, ReportBuilder
+from .nl_checks import is_regular_commutative
+from .report import PropertyReport, ReportBuilder, remembered
 
 Map = tuple[int, ...]
 
@@ -134,6 +137,7 @@ def canonical_weak_inverse(s: Transformation) -> tuple[Transformation, int]:
     return t, 2 * omega - 1
 
 
+@remembered
 def is_regular_semigroup(gens: GeneratorSet,
                          cap: int = DEFAULT_CAP) -> PropertyReport:
     """Every element has some t with s·t·s = s; UNDECIDED past the cap.
@@ -184,13 +188,24 @@ def is_regular_semigroup(gens: GeneratorSet,
     return rb.true()
 
 
+def is_regular(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> PropertyReport:
+    """Structural ``regular``: a commutative semigroup is regular exactly
+    when it is completely regular, which the graph route decides; any
+    other goes through the capped search of S."""
+    try:
+        return is_regular_commutative(gens)
+    except PreconditionError:
+        return is_regular_semigroup(gens, cap)
+
+
 def is_inverse_semigroup(gens: GeneratorSet,
                          cap: int = DEFAULT_CAP) -> PropertyReport:
-    """Regular with commuting idempotents; UNDECIDED propagates."""
+    """Regular, decided as ``is_regular`` decides it, with commuting
+    idempotents; UNDECIDED propagates."""
     from .identity_engine import idempotents_commute
 
     rb = ReportBuilder("inverse", gens, "structural")
-    regular = is_regular_semigroup(gens, cap)
+    regular = is_regular(gens, cap)
     if regular.verdict == "UNDECIDED":
         return rb.undecided(regular.witness)
     if not regular.verdict:

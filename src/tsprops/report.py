@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import GeneratorSet
@@ -70,3 +70,43 @@ class ReportBuilder:
 
     def undecided(self, witness: dict | None = None) -> PropertyReport:
         return self.done(Verdict.UNDECIDED, witness)
+
+
+def remembered(checker):
+    """``checker`` with each report kept on the generator set it was asked
+    about, keyed by the checker and its other arguments.
+
+    An argument counts the same whether it is passed by position, by name
+    or left to its default.  Asked again, the checker returns the kept
+    report with ``elapsed`` set to the lookup's own time, so no report
+    claims time it did not spend; the verdict, witness, property, engine
+    and digest are the kept ones.  A ``LimitExceeded`` propagates and
+    nothing is kept, so the next call runs again under the budget in force
+    then.  Only structural checkers that another checker calls are
+    remembered.
+    """
+    code = checker.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(checker.__defaults__ or ())))
+
+    def remember(gens: GeneratorSet, *args, **kwargs) -> PropertyReport:
+        start = time.perf_counter()
+        for name in names[len(args):]:
+            if name in kwargs:
+                args += (kwargs.pop(name),)
+            elif name in defaults:
+                args += (defaults[name],)
+            else:
+                break   # a missing argument: the checker raises TypeError
+        facts = gens._facts
+        key = (checker, *args)
+        hit = facts.get(key)
+        if hit is not None and not kwargs:  # a stray keyword: raise below
+            return replace(hit, elapsed=time.perf_counter() - start)
+        report = facts[key] = checker(gens, *args, **kwargs)
+        return report
+
+    for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(remember, attr, getattr(checker, attr))
+    remember.__wrapped__ = checker
+    return remember

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -138,6 +139,15 @@ def test_check_cap_gives_undecided(tmp_path, capsys):
     # structural engine decided without enumerating; only the oracle gave up
     assert combined["structural"]["verdict"] == "FALSE"
     assert combined["oracle"]["verdict"] == "UNDECIDED"
+
+
+def test_inverse_decides_regularity_as_regular_does(tmp_path, capsys):
+    # A commutative set goes through the graph route for both properties,
+    # so a cap below |S| leaves neither of them undecided.
+    sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
+    for prop in ("regular", "inverse"):
+        assert main(["check", sigma, "--property", prop, "--cap", "2"]) == 0
+        assert "verdict:  TRUE" in capsys.readouterr().out
 
 
 def test_check_engine_disagreement_exit5(tmp_path, capsys, monkeypatch):
@@ -402,12 +412,50 @@ def test_crosscheck_command_deterministic(capsys):
 
 
 def test_crosscheck_past_the_cap_is_undecided(capsys):
+    # A set past the cap counts as UNDECIDED for every swept property, and
+    # the sweep goes on to the next set.
     assert main(["crosscheck", "--samples", "5", "--n", "4", "--k", "3",
                  "--cap", "10"]) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: a swept semigroup has more than 10 "
-                            "elements (--cap 10)\n")
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    swept = {name for name, routes in REGISTRY.items()
+             if routes.structural is not None}
+    assert set(summary["verdict_counts"]) == swept
+    for counts in summary["verdict_counts"].values():
+        assert sum(counts.values()) == 5
+        assert 0 < counts["UNDECIDED"] < 5
+    assert summary["instances"] == 5
+    assert summary["disagreements"] == 0
+    assert summary["largest_semigroup"] <= 10
+
+
+def test_crosscheck_disagreement_outranks_undecided(capsys, monkeypatch):
+    def liar(gens, cap):
+        return ReportBuilder("zero", gens, "structural").true(None)
+
+    monkeypatch.setitem(REGISTRY, "zero",
+                        REGISTRY["zero"]._replace(structural=liar))
+    assert main(["crosscheck", "--samples", "5", "--n", "4", "--k", "3",
+                 "--cap", "10"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["disagreements"] > 0
+    assert summary["verdict_counts"]["zero"]["UNDECIDED"] > 0
+
+
+# The stdout of two sweeps, pinned byte for byte: a change that alters any
+# verdict count, mismatch record or the JSON layout of ``crosscheck`` shows
+# here.
+@pytest.mark.parametrize("argv, sha256", [
+    (["--samples", "300", "--seed", "20240817", "--n", "5", "--k", "3"],
+     "20715e8bbec519a4268329aee08c7869bb7a0c12aaf6e5eca830a6f57fa9a321"),
+    (["--samples", "0", "--n", "3", "--k", "2"],
+     "5f07493d6e7ed7a2e0ee52b8016f0b3fad68c6b24ca63b18a618554ea4f5f7b1"),
+], ids=["seeded", "exhaustive"])
+def test_crosscheck_stdout_bytes(capsys, argv, sha256):
+    assert main(["crosscheck", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_crosscheck_past_the_state_budget_is_undecided(capsys, monkeypatch):

@@ -130,3 +130,12 @@ def test_no_property_runs_search_on_both_routes(monkeypatch):
         assert sides != {"structural", "oracle"}, prop
     assert "structural" in used["regular"]
     assert "oracle" in used["r-trivial"]
+
+
+@pytest.mark.parametrize("module", ("oracle", "witnesses", "crosscheck"))
+def test_only_structural_code_reads_the_instance_store(module):
+    # The store keeps structural reports; an oracle verdict, a witness
+    # replay or a sweep that read it would judge the structural engine by
+    # its own answers.
+    path = Path(tsprops.__file__).parent / f"{module}.py"
+    assert "_facts" not in path.read_text()

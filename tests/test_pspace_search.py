@@ -19,6 +19,7 @@ from tsprops.pspace_search import (
     find_regularizer,
     find_weak_inverse,
     is_inverse_semigroup,
+    is_regular,
     is_regular_semigroup,
     iter_elements,
 )
@@ -164,7 +165,17 @@ def test_is_inverse_semigroup():
     report = is_inverse_semigroup(consts)
     assert not report.verdict  # regular, but idempotents do not commute
     assert not is_inverse_semigroup(COLLAPSE).verdict  # not even regular
-    assert is_inverse_semigroup(SIGMA, cap=2).verdict.value == "UNDECIDED"
+    # Regularity is decided as structural ``regular`` decides it: the graph
+    # route for a commutative set, whatever the cap, with its witness ...
+    assert is_inverse_semigroup(SIGMA, cap=2).verdict
+    assert (is_inverse_semigroup(COLLAPSE).witness
+            == is_regular(COLLAPSE).witness
+            == {"kind": "image-collapse", "p": 1, "q": 3, "u": 1, "v": 2,
+                "word": [1]})
+    # ... and the capped search of S for any other.
+    s3 = GeneratorSet.from_maps([(2, 3, 1), (2, 1, 3)])
+    assert is_inverse_semigroup(s3).verdict
+    assert is_inverse_semigroup(s3, cap=2).verdict.value == "UNDECIDED"
 
     rng = random.Random(84)
     for _ in range(200):

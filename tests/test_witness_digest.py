@@ -20,7 +20,7 @@ from tsprops.crosscheck import exhaustive_generator_sets, seeded_instances
 from tsprops.oracle import PROPERTIES, definitional_check, enumerate_semigroup
 from tsprops.properties import REGISTRY
 
-DIGEST = "f3595ace73ce1f97f7bbe494ee2f68365081aeed6f587271a048c437d65d2301"
+DIGEST = "8f57586d99da8e6fdf037731f11296cb13b8eacc80a8e2e1a59fb30c7b7925a4"
 ORACLE_DIGEST = "562b75d82027db4c1a0b8ce4ca9ff6dec7a348575898eb914e8dfe0fcb0fb083"
 
 
