@@ -74,10 +74,9 @@ class ReportBuilder:
 
 def remembered(checker):
     """``checker`` with each report kept on the generator set it was asked
-    about, keyed by the checker and its other arguments.
+    about, keyed by the checker and its other arguments as passed.
 
-    An argument counts the same whether it is passed by position, by name
-    or left to its default.  Asked again, the checker returns the kept
+    Asked again with the same arguments, the checker returns the kept
     report with ``elapsed`` set to the lookup's own time, so no report
     claims time it did not spend; the verdict, witness, property, engine
     and digest are the kept ones.  A ``LimitExceeded`` propagates and
@@ -85,25 +84,13 @@ def remembered(checker):
     then.  Only structural checkers that another checker calls are
     remembered.
     """
-    code = checker.__code__
-    names = code.co_varnames[1:code.co_argcount]
-    defaults = dict(zip(reversed(names), reversed(checker.__defaults__ or ())))
-
     def remember(gens: GeneratorSet, *args, **kwargs) -> PropertyReport:
         start = time.perf_counter()
-        for name in names[len(args):]:
-            if name in kwargs:
-                args += (kwargs.pop(name),)
-            elif name in defaults:
-                args += (defaults[name],)
-            else:
-                break   # a missing argument: the checker raises TypeError
-        facts = gens._facts
-        key = (checker, *args)
-        hit = facts.get(key)
-        if hit is not None and not kwargs:  # a stray keyword: raise below
+        key = (checker, *args, *sorted(kwargs.items()))
+        hit = gens._facts.get(key)
+        if hit is not None:
             return replace(hit, elapsed=time.perf_counter() - start)
-        report = facts[key] = checker(gens, *args, **kwargs)
+        report = gens._facts[key] = checker(gens, *args, **kwargs)
         return report
 
     for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
