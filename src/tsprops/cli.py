@@ -7,9 +7,10 @@ instances from DFAs and digraphs), ``crosscheck`` (agreement sweeps).
 
 Exit codes: 0 TRUE/success, 1 FALSE/disagreements-found, 2 parse or input
 error (a bad option value or ``TSPROPS_CAP`` included), 3 unknown property,
-4 undecided (cap or budget hit; a sweep exits 4 when it counted some
-instance past the cap as UNDECIDED and found no disagreement, or when it
-stopped at the state budget), 5 engine disagreement.
+4 undecided (a cap or state budget hit, which ``ReportBuilder.run`` turns
+into an UNDECIDED report; a sweep exits 4 when it counted some property of
+some instance as UNDECIDED and found no disagreement), 5 engine
+disagreement.
 
 The oracle and the sweeps need numpy, so they are imported inside the
 functions that run them: the structural commands start without numpy.
@@ -26,13 +27,7 @@ from pathlib import Path
 
 from . import identity_engine, pspace_search
 from .core import DEFAULT_CAP, GeneratorSet
-from .errors import (
-    EnumerationCapExceeded,
-    LimitExceeded,
-    ParseError,
-    PreconditionError,
-    StateBudgetExceeded,
-)
+from .errors import EnumerationCapExceeded, ParseError, PreconditionError
 from .formats import (
     parse_dfa,
     parse_dfa_list,
@@ -116,20 +111,18 @@ def _verdict_exit(verdict: Verdict) -> int:
 def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     from .oracle import definitional_check, enumerate_semigroup
 
-    try:
+    def decide() -> PropertyReport:
         table = enumerate_semigroup(gens, cap)
-    except EnumerationCapExceeded as exc:
-        return ReportBuilder(prop, gens, "oracle").undecided(exc.witness)
-    report = definitional_check(table, REGISTRY[prop].oracle_key)
-    # Report under the command-line property name, not the oracle's key.
-    return dataclasses.replace(report, property=prop)
+        report = definitional_check(table, REGISTRY[prop].oracle_key)
+        # Report under the command-line property name, not the oracle's key.
+        return dataclasses.replace(report, property=prop)
+
+    return ReportBuilder(prop, gens, "oracle").run(decide)
 
 
 def _structural_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
-    try:
-        return REGISTRY[prop].structural(gens, cap)
-    except LimitExceeded as exc:
-        return ReportBuilder(prop, gens, "structural").undecided(exc.witness)
+    return ReportBuilder(prop, gens, "structural").run(
+        lambda: REGISTRY[prop].structural(gens, cap))
 
 
 def cmd_check(args) -> int:
@@ -183,11 +176,8 @@ def cmd_identity(args) -> int:
         qid = parse_quasi_identity(args.quasi)
     except ParseError as exc:
         raise _InputError(exc) from None
-    try:
-        report = identity_engine.models(gens, qid)
-    except StateBudgetExceeded as exc:
-        report = ReportBuilder("quasi-identity", gens,
-                               "structural").undecided(exc.witness)
+    report = ReportBuilder("quasi-identity", gens, "structural").run(
+        lambda: identity_engine.models(gens, qid))
     _print_report(report, args.json)
     return _verdict_exit(report.verdict)
 
@@ -318,11 +308,7 @@ def cmd_crosscheck(args) -> int:
     else:
         instances = exhaustive_generator_sets(args.n, args.k)
         meta = {"mode": "exhaustive"}
-    try:
-        summary = run_sweep(instances, cap=args.cap)
-    except StateBudgetExceeded as exc:
-        print(f"error: a swept instance's {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    summary = run_sweep(instances, cap=args.cap)
     summary.update(meta, n=args.n, k=args.k)
     print(json.dumps(summary, indent=2, sort_keys=True))
     if summary["disagreements"]:

@@ -10,7 +10,10 @@ the structural verdict, and no property runs ``graph.strong_components`` or
 ``graph.search`` on both sides (``tests/test_layering.py`` checks this),
 although structural ``regular`` and oracle ``r_trivial`` both use them.  An
 instance past the element cap has no oracle verdict: the sweep counts it as
-``UNDECIDED`` for every swept property and goes on.
+``UNDECIDED`` for every swept property and goes on.  A structural check
+that meets a state budget is ``UNDECIDED`` through ``ReportBuilder.run``:
+the sweep counts that property of that instance as ``UNDECIDED``, compares
+nothing for it, and goes on.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .oracle import (
     enumerate_semigroup,
 )
 from .properties import REGISTRY
-from .report import PropertyReport
+from .report import PropertyReport, ReportBuilder, Verdict
 
 
 @dataclass
@@ -93,13 +96,15 @@ def check_instance(gens: GeneratorSet,
 
     for name in _swept(properties):
         structural, oracle_key = REGISTRY[name]
-        s_report = structural(gens, cap)
+        s_report = ReportBuilder(name, gens, "structural").run(
+            lambda: structural(gens, cap))
         o_report = definitional_check(table, oracle_key)
         result.verdicts[name] = {
             "structural": s_report.verdict.value,
             "oracle": o_report.verdict.value,
         }
-        if (s_report.verdict.value != o_report.verdict.value
+        if s_report.verdict is not Verdict.UNDECIDED and (
+                s_report.verdict.value != o_report.verdict.value
                 or _identity_maps(s_report) != _identity_maps(o_report)):
             result.mismatches.append(name)
         if collect_reports:
@@ -122,7 +127,8 @@ def run_sweep(instances: Iterable[GeneratorSet],
     """Check a stream of instances; summary is JSON-ready and timing-free.
 
     An instance past the element ``cap`` adds ``UNDECIDED`` to the verdict
-    counts of every swept property, and the sweep goes on.
+    counts of every swept property, and a structural check past a state
+    budget to those of its own property; the sweep goes on.
     """
     swept = _swept(properties)
     totals: dict[str, dict[str, int]] = {}
@@ -145,7 +151,8 @@ def run_sweep(instances: Iterable[GeneratorSet],
         res = check_instance(gens, table, swept, cap)
         largest = max(largest, res.element_count)
         for name, pair in res.verdicts.items():
-            tally(name, pair["oracle"])
+            tally(name, "UNDECIDED" if pair["structural"] == "UNDECIDED"
+                  else pair["oracle"])
         for name in res.mismatches:
             mismatch_records.append({
                 "digest": res.digest,

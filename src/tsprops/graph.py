@@ -27,7 +27,8 @@ words: ``reach_set`` closes a tuple's successors under a successor function
 its caller may memoise, as ``identity_engine`` does, and the zero checks
 close backwards over predecessor maps.  ``strong_components`` is the one
 Tarjan, for ``image_orbit``, the nilpotency bound and the oracle's
-R-triviality check.  Every search reads ``STATE_BUDGET`` at call time.
+R-triviality check.  Every structural search checks the size of its state
+space with ``within_budget``, which reads ``STATE_BUDGET`` at call time.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ from .core import GeneratorSet
 from .errors import StateBudgetExceeded
 
 STATE_BUDGET = 100_000_000
+
+
+def within_budget(states: int) -> None:
+    """Raise StateBudgetExceeded when a search of ``states`` states would
+    pass ``STATE_BUDGET``."""
+    if states > STATE_BUDGET:
+        raise StateBudgetExceeded(states, STATE_BUDGET)
+
 
 # A point tuple's images under each generator, in generator order.
 Successors = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
@@ -318,9 +327,7 @@ def multi_tuple_reachability(
         for q in s:
             if not 1 <= q <= n:
                 raise ValueError(f"point {q} outside 1..{n}")
-    n_states = n ** d
-    if n_states > STATE_BUDGET:
-        raise StateBudgetExceeded(n_states, STATE_BUDGET)
+    within_budget(n ** d)
 
     if callable(targets):
         is_target = targets

@@ -51,9 +51,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import GeneratorSet
-from .errors import ParseError, StateBudgetExceeded, UnknownPropertyError
-from . import graph
-from .graph import reach_set, tuple_reachability, tuple_successors
+from .errors import ParseError
+from .graph import (reach_set, tuple_reachability, tuple_successors,
+                    within_budget)
 from .report import PropertyReport, ReportBuilder, remembered
 
 _VARIABLE = re.compile(r"x([1-9])")
@@ -153,13 +153,6 @@ PRESETS: dict[str, QuasiIdentity] = {
 }
 
 
-def preset(name: str) -> QuasiIdentity:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise UnknownPropertyError(name) from None
-
-
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -203,9 +196,7 @@ class _VariableSearch:
     def __init__(self, gens: GeneratorSet, pairs: Sequence[tuple[int, int]],
                  orbit):
         self.gens = gens
-        space = gens.degree ** len(pairs)
-        if space > graph.STATE_BUDGET:
-            raise StateBudgetExceeded(space, graph.STATE_BUDGET)
+        within_budget(gens.degree ** len(pairs))
         self._source = _projection([s for s, _ in pairs])
         self._target = _projection([t for _, t in pairs])
         self._orbit = orbit
@@ -310,8 +301,7 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
         return rb.true()
     n = gens.degree
     slot_class, classes, end_left, end_right, pairs, sources = merged
-    if n ** classes > graph.STATE_BUDGET:
-        raise StateBudgetExceeded(n ** classes, graph.STATE_BUDGET)
+    within_budget(n ** classes)
 
     # One models call memoises every tuple's successors and the orbit of
     # every ascending tuple of distinct points that a variable's test looks

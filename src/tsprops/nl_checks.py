@@ -9,12 +9,11 @@ breadth-first search and yields a replayable witness.
 from __future__ import annotations
 
 from .core import GeneratorSet, fixed_points
-from .errors import PreconditionError, StateBudgetExceeded
-from . import graph
+from .errors import PreconditionError
 from .graph import (closure, has_cycle, multi_tuple_reachability,
                     strong_components, transformation_graph,
-                    undirected_components)
-from .report import PropertyReport, ReportBuilder, remembered
+                    undirected_components, within_budget)
+from .report import PropertyReport, ReportBuilder, all_of, remembered
 
 
 @remembered
@@ -34,9 +33,9 @@ def has_right_zero(gens: GeneratorSet) -> PropertyReport:
     pairs = [(p, q)
              for comp in undirected_components(transformation_graph(gens))
              for i, p in enumerate(comp) for q in comp[i + 1:]]
-    if pairs and n * n > graph.STATE_BUDGET:
+    if pairs:
         # The state space of the ordered pair search this closure replaced.
-        raise StateBudgetExceeded(n * n, graph.STATE_BUDGET)
+        within_budget(n * n)
     maps = [(0,) + g.map for g in gens]
     collapsed = set()
     # A generator maps each component into itself, so every pair it
@@ -72,8 +71,7 @@ def has_left_zero(gens: GeneratorSet) -> PropertyReport:
         return rb.false({"kind": "point-misses-fixed", "point": 1,
                          "fixed_points": []})
     n = gens.degree
-    if n > graph.STATE_BUDGET:
-        raise StateBudgetExceeded(n, graph.STATE_BUDGET)
+    within_budget(n)
     preds: list[list[int]] = [[] for _ in range(n + 1)]
     for g in gens:
         for p, q in enumerate(g.map, start=1):
@@ -89,14 +87,7 @@ def has_left_zero(gens: GeneratorSet) -> PropertyReport:
 @remembered
 def has_zero(gens: GeneratorSet) -> PropertyReport:
     """A zero exists iff both a left zero and a right zero exist."""
-    rb = ReportBuilder("zero", gens, "structural")
-    left = has_left_zero(gens)
-    if not left.verdict:
-        return rb.false(left.witness)
-    right = has_right_zero(gens)
-    if not right.verdict:
-        return rb.false(right.witness)
-    return rb.true()
+    return all_of("zero", gens, has_left_zero, has_right_zero)
 
 
 def is_nilpotent(gens: GeneratorSet) -> PropertyReport:
@@ -185,8 +176,8 @@ def is_completely_regular(gens: GeneratorSet) -> PropertyReport:
     rb = ReportBuilder("completely-regular", gens, "structural")
     n = gens.degree
     limit = n ** 4
-    if n > 1 and limit > graph.STATE_BUDGET:
-        raise StateBudgetExceeded(limit, graph.STATE_BUDGET)
+    if n > 1:
+        within_budget(limit)
     points = range(1, n + 1)
     maps = [(0,) + g.map for g in gens]
     canon: dict[frozenset[int], frozenset[int]] = {}
@@ -256,11 +247,4 @@ def is_clifford(gens: GeneratorSet) -> PropertyReport:
     """Clifford iff completely regular with commuting idempotents."""
     from .identity_engine import idempotents_commute
 
-    rb = ReportBuilder("clifford", gens, "structural")
-    cr = is_completely_regular(gens)
-    if not cr.verdict:
-        return rb.false(cr.witness)
-    ic = idempotents_commute(gens)
-    if not ic.verdict:
-        return rb.false(ic.witness)
-    return rb.true()
+    return all_of("clifford", gens, is_completely_regular, idempotents_commute)

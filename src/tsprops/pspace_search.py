@@ -7,8 +7,9 @@ lexicographically by generator index), each stored with its parent only,
 so ``graph.trace`` rebuilds a word only for an element that is reported.
 ``iter_elements``, which reports every element, also stores each one's
 last letter and walks the stored letters back.
-On instances whose element count exceeds the cap the search is honest about
-giving up: callers receive an UNDECIDED outcome instead of a guess.
+On instances whose element count exceeds the cap every search here raises
+``EnumerationCapExceeded`` instead of guessing; the front end reports that
+as UNDECIDED with the cap as its witness.
 
 Deciding whether an element is regular is PSPACE-complete, so the structural
 ``regular`` route (``is_regular``, which ``inverse`` shares) still enumerates
@@ -32,7 +33,7 @@ from .errors import (DegreeMismatchError, EnumerationCapExceeded,
 from .graph import search, trace
 from .image_orbit import image_orbit
 from .nl_checks import is_regular_commutative
-from .report import PropertyReport, ReportBuilder, remembered
+from .report import PropertyReport, ReportBuilder, all_of, remembered
 
 Map = tuple[int, ...]
 
@@ -140,7 +141,8 @@ def canonical_weak_inverse(s: Transformation) -> tuple[Transformation, int]:
 @remembered
 def is_regular_semigroup(gens: GeneratorSet,
                          cap: int = DEFAULT_CAP) -> PropertyReport:
-    """Every element has some t with s·t·s = s; UNDECIDED past the cap.
+    """Every element has some t with s·t·s = s; raises
+    EnumerationCapExceeded past the cap.
 
     s is regular iff some image A in the strong component of im(s), in the
     orbit of images under the generators, is a transversal of ker(s):
@@ -162,11 +164,8 @@ def is_regular_semigroup(gens: GeneratorSet,
     """
     rb = ReportBuilder("regular", gens, "structural")
     parent: dict = {}
-    try:
-        for _ in _maps(gens, cap, parent):
-            pass
-    except EnumerationCapExceeded as exc:
-        return rb.undecided(exc.witness)
+    for _ in _maps(gens, cap, parent):
+        pass
     orbit = image_orbit(gens)
     regular_class: dict[tuple[Map, int], bool] = {}
     for s in parent:    # S in canonical order
@@ -201,16 +200,8 @@ def is_regular(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> PropertyReport:
 def is_inverse_semigroup(gens: GeneratorSet,
                          cap: int = DEFAULT_CAP) -> PropertyReport:
     """Regular, decided as ``is_regular`` decides it, with commuting
-    idempotents; UNDECIDED propagates."""
+    idempotents; a limit in either propagates."""
     from .identity_engine import idempotents_commute
 
-    rb = ReportBuilder("inverse", gens, "structural")
-    regular = is_regular(gens, cap)
-    if regular.verdict == "UNDECIDED":
-        return rb.undecided(regular.witness)
-    if not regular.verdict:
-        return rb.false(regular.witness)
-    commuting = idempotents_commute(gens)
-    if not commuting.verdict:
-        return rb.false(commuting.witness)
-    return rb.true()
+    return all_of("inverse", gens, lambda g: is_regular(g, cap),
+                  idempotents_commute)

@@ -1,12 +1,20 @@
-"""The uniform result record returned by every property checker."""
+"""The uniform result record returned by every property checker.
+
+A checker decides or raises: it returns TRUE or FALSE, or raises an
+``errors.LimitExceeded`` when a search reaches its cap or state budget.
+``ReportBuilder.run`` is the one place where a limit becomes an UNDECIDED
+report, and ``all_of`` is the one conjunction of structural reports.
+"""
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import GeneratorSet
+from .errors import LimitExceeded
 from .formats import cached_instance_digest
 
 
@@ -68,8 +76,28 @@ class ReportBuilder:
     def false(self, witness: dict | None = None) -> PropertyReport:
         return self.done(Verdict.FALSE, witness)
 
-    def undecided(self, witness: dict | None = None) -> PropertyReport:
-        return self.done(Verdict.UNDECIDED, witness)
+    def run(self, decide: Callable[[], PropertyReport]) -> PropertyReport:
+        """The report ``decide()`` returns, or, when it raises a
+        ``LimitExceeded``, UNDECIDED with the limit's witness and the time
+        spent since this call."""
+        self._start = time.perf_counter()
+        try:
+            return decide()
+        except LimitExceeded as exc:
+            return self.done(Verdict.UNDECIDED, exc.witness)
+
+
+def all_of(prop: str, gens: GeneratorSet,
+           *checks: Callable[[GeneratorSet], PropertyReport]) -> PropertyReport:
+    """The structural conjunction of ``checks``, asked in order: FALSE with
+    the witness of the first FALSE conjunct, which ends the asking, or
+    TRUE.  A limit in a conjunct propagates."""
+    rb = ReportBuilder(prop, gens, "structural")
+    for check in checks:
+        report = check(gens)
+        if not report.verdict:
+            return rb.false(report.witness)
+    return rb.true()
 
 
 def remembered(checker):
@@ -79,8 +107,9 @@ def remembered(checker):
     Asked again with the same arguments, the checker returns the kept
     report with ``elapsed`` set to the lookup's own time, so no report
     claims time it did not spend; the verdict, witness, property, engine
-    and digest are the kept ones.  A ``LimitExceeded`` propagates and
-    nothing is kept, so the next call runs again under the budget in force
+    and digest are the kept ones.  A checker decides or raises, so every
+    kept report is TRUE or FALSE: a ``LimitExceeded`` propagates and nothing
+    is kept, so the next call runs again under the cap and budget in force
     then.  Only structural checkers that another checker calls are
     remembered.
     """

@@ -432,12 +432,12 @@ _HANDLERS: dict[str, Callable] = {
 
 def verify_witness(gens: GeneratorSet,
                    report: PropertyReport | Mapping,
-                   table: ElementTable | None = None,
-                   cap: int = DEFAULT_CAP) -> bool:
+                   table: ElementTable | None = None) -> bool:
     """Replay a report's witness; raise WitnessReplayError on any mismatch.
 
     Reports without a witness verify trivially.  Negative claims are settled
-    against a full element table, built here unless one is supplied.  A
+    against a full element table, built here under ``DEFAULT_CAP`` unless
+    one is supplied.  A
     malformed witness (a missing field, a value of the wrong type, a letter
     outside 1..k, a point outside 1..n) fails to replay as well.
     """
@@ -452,7 +452,7 @@ def verify_witness(gens: GeneratorSet,
 
     def get_table() -> ElementTable:
         if built[0] is None:
-            built[0] = enumerate_semigroup(gens, cap)
+            built[0] = enumerate_semigroup(gens, DEFAULT_CAP)
         return built[0]
 
     try:

@@ -2,15 +2,17 @@ import hashlib
 import json
 import shutil
 import subprocess
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from conftest import CLI_TIMEOUT_SECONDS
-from tsprops import cli, graph
+from tsprops import cli, graph, oracle
 from tsprops.cli import main
 from tsprops.core import GeneratorSet, Transformation
+from tsprops.errors import EnumerationCapExceeded
 from tsprops.formats import parse_generators, render_dfa, render_digraph, render_generators
 from tsprops.properties import REGISTRY
 from tsprops.reductions import DFA
@@ -139,6 +141,29 @@ def test_check_cap_gives_undecided(tmp_path, capsys):
     # structural engine decided without enumerating; only the oracle gave up
     assert combined["structural"]["verdict"] == "FALSE"
     assert combined["oracle"]["verdict"] == "UNDECIDED"
+
+
+@pytest.mark.parametrize("engine", ["structural", "oracle"])
+def test_an_undecided_report_claims_the_time_spent(tmp_path, capsys,
+                                                   monkeypatch, engine):
+    # The clock starts before the check, not after the limit fired.
+    def slow_limit(gens, cap):
+        time.sleep(0.05)
+        raise EnumerationCapExceeded(cap)
+
+    if engine == "oracle":
+        monkeypatch.setattr(oracle, "enumerate_semigroup", slow_limit)
+    else:
+        monkeypatch.setitem(REGISTRY, "band",
+                            REGISTRY["band"]._replace(structural=slow_limit))
+    sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
+    assert main(["check", sigma, "--property", "band", "--engine", engine,
+                 "--cap", "7", "--json"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "UNDECIDED"
+    assert report["engine"] == engine
+    assert report["witness"] == {"kind": "enumeration-cap", "cap": 7}
+    assert report["elapsed_seconds"] >= 0.05
 
 
 def test_inverse_decides_regularity_as_regular_does(tmp_path, capsys):
@@ -459,11 +484,21 @@ def test_crosscheck_stdout_bytes(capsys, argv, sha256):
 
 
 def test_crosscheck_past_the_state_budget_is_undecided(capsys, monkeypatch):
+    # A structural check past the state budget counts as UNDECIDED for its
+    # own property, and the sweep goes on to the next property and set.
     monkeypatch.setattr(graph, "STATE_BUDGET", 3)
     assert main(["crosscheck", "--n", "2", "--k", "1"]) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: a swept instance's state space")
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert summary["instances"] == 4
+    assert summary["disagreements"] == 0
+    for counts in summary["verdict_counts"].values():
+        assert sum(counts.values()) == 4
+    # right-zero searches the 2 * 2 point pairs, past a budget of 3;
+    # commutative searches nothing and is decided on every set.
+    assert summary["verdict_counts"]["right-zero"]["UNDECIDED"] > 0
+    assert "UNDECIDED" not in summary["verdict_counts"]["commutative"]
 
 
 def test_console_script_runs(tmp_path, cli_command):

@@ -13,7 +13,7 @@ import pytest
 from conftest import full_monoid
 from tsprops import graph, pspace_search, report
 from tsprops.core import GeneratorSet
-from tsprops.errors import StateBudgetExceeded
+from tsprops.errors import EnumerationCapExceeded, StateBudgetExceeded
 from tsprops.identity_engine import idempotents_commute
 from tsprops.nl_checks import has_zero, is_clifford, is_completely_regular
 from tsprops.pspace_search import is_inverse_semigroup, is_regular_semigroup
@@ -108,16 +108,24 @@ def test_a_limit_is_not_kept(monkeypatch):
     assert is_completely_regular(gens).verdict
 
 
-def test_an_undecided_regular_is_kept_under_its_own_cap(checks_run):
+def test_a_capped_regular_that_raises_is_not_kept(checks_run):
+    # A call past its cap raises and keeps nothing; the next call with a
+    # larger cap decides and is kept, under its own cap only.
     gens = GeneratorSet.from_maps(S3)
     big = pspace_search.DEFAULT_CAP
-    assert is_regular_semigroup(gens, 2).verdict.value == "UNDECIDED"
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        is_regular_semigroup(gens, 2)
+    assert exc.value.witness == {"kind": "enumeration-cap", "cap": 2}
+    assert not [fact for fact in gens._facts.values()
+                if isinstance(fact, PropertyReport)]
     assert is_regular_semigroup(gens, big).verdict.value == "TRUE"
     assert checks_run == ["regular", "regular"]
     checks_run.clear()
-    assert is_regular_semigroup(gens, 2).verdict.value == "UNDECIDED"
     assert is_regular_semigroup(gens, big).verdict
     assert not checks_run
+    with pytest.raises(EnumerationCapExceeded):
+        is_regular_semigroup(gens, 2)
+    assert checks_run == ["regular"]
 
 
 @pytest.mark.parametrize("checker", [is_regular_semigroup, has_zero])

@@ -23,7 +23,6 @@ from tsprops.identity_engine import (
     is_orthodox,
     models,
     parse_quasi_identity,
-    preset,
 )
 from tsprops.oracle import (
     definitional_check,
@@ -79,9 +78,6 @@ def test_presets_registry():
         "squares_are_left_zeros", "idempotents_left_neutral",
         "idempotents_right_neutral",
     }
-    assert preset("band") is PRESETS["band"]
-    with pytest.raises(KeyError):
-        preset("nope")
 
 
 def test_models_frozen_counterexample():

@@ -13,8 +13,11 @@ the oracle's ``r_trivial`` calls it for the R-classes.  Structural searches
 (``pspace_search`` among them) walk tuples with ``search``, and the
 oracle's ``r_trivial`` calls it, with ``trace``, for its connecting words.
 The cross-check stays a cross-check only while no property runs either
-routine on both routes, which the last two tests check by running every
-property's two routes with the routine wrapped.
+routine on both routes, which two tests check by running every property's
+two routes with the routine wrapped.
+
+A checker decides or raises, so only ``report`` builds an UNDECIDED report,
+in ``ReportBuilder.run``.
 """
 
 import ast
@@ -142,3 +145,39 @@ def test_only_structural_code_reads_the_instance_store(module):
     # its own answers.
     path = Path(tsprops.__file__).parent / f"{module}.py"
     assert "_facts" not in path.read_text()
+
+
+def _names_undecided(expr):
+    return any((isinstance(node, ast.Attribute) and node.attr == "UNDECIDED")
+               or (isinstance(node, ast.Constant) and node.value == "UNDECIDED")
+               for node in ast.walk(expr))
+
+
+def _undecided_reports_built(tree):
+    """The lines that build an UNDECIDED report: any use of a builder's
+    ``undecided``, and any call of a report constructor, ``done`` or
+    ``replace`` that names the verdict among its arguments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "undecided":
+            yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name in {"PropertyReport", "Verdict", "done", "replace"} and any(
+                    _names_undecided(arg) for arg in
+                    [*node.args, *(k.value for k in node.keywords)]):
+                yield node.lineno
+
+
+def test_only_report_builds_an_undecided_report():
+    # A checker decides or raises; ReportBuilder.run is the one place where
+    # a limit becomes UNDECIDED.
+    built = {}
+    for path in sorted(Path(tsprops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = list(_undecided_reports_built(tree))
+        if lines:
+            built[path.name] = lines
+    assert list(built) == ["report.py"]
+    assert len(built["report.py"]) == 1

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+
+from tsprops import cli
 
 from tsprops.core import (
     GeneratorSet,
@@ -12,6 +15,7 @@ from tsprops.core import (
 )
 from tsprops.crosscheck import exhaustive_generator_sets
 from tsprops.errors import DegreeMismatchError, EnumerationCapExceeded
+from tsprops.formats import render_generators
 from tsprops.oracle import definitional_check, enumerate_semigroup
 from tsprops.pspace_search import (
     canonical_weak_inverse,
@@ -59,11 +63,12 @@ def test_iter_elements_cap():
         assert len(list(iter_elements(gens, cap=size))) == size
         with pytest.raises(EnumerationCapExceeded):
             list(iter_elements(gens, cap=size - 1))
-        undecided = is_regular_semigroup(gens, cap=size - 1)
-        assert undecided.verdict.value == "UNDECIDED"
-        assert undecided.witness == {"kind": "enumeration-cap",
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            is_regular_semigroup(gens, cap=size - 1)
+        assert exc.value.witness == {"kind": "enumeration-cap",
                                      "cap": size - 1}
-        assert is_regular_semigroup(gens, cap=size).verdict.value != "UNDECIDED"
+        assert is_regular_semigroup(gens, cap=size).verdict.value in (
+            "TRUE", "FALSE")
 
 
 def test_find_inverse_of_sigma():
@@ -145,9 +150,9 @@ def test_is_regular_semigroup():
     assert w["kind"] == "non-regular-element"
     assert w["element"]["map"] == [1, 1, 2]
 
-    undecided = is_regular_semigroup(SIGMA, cap=2)
-    assert undecided.verdict.value == "UNDECIDED"
-    assert undecided.witness == {"kind": "enumeration-cap", "cap": 2}
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        is_regular_semigroup(SIGMA, cap=2)
+    assert exc.value.witness == {"kind": "enumeration-cap", "cap": 2}
 
 
 def test_is_regular_against_oracle_random():
@@ -175,7 +180,9 @@ def test_is_inverse_semigroup():
     # ... and the capped search of S for any other.
     s3 = GeneratorSet.from_maps([(2, 3, 1), (2, 1, 3)])
     assert is_inverse_semigroup(s3).verdict
-    assert is_inverse_semigroup(s3, cap=2).verdict.value == "UNDECIDED"
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        is_inverse_semigroup(s3, cap=2)
+    assert exc.value.witness == {"kind": "enumeration-cap", "cap": 2}
 
     rng = random.Random(84)
     for _ in range(200):
@@ -239,8 +246,9 @@ def test_is_regular_matches_all_pairs_seeded():
     compared = 0
     while compared < 300:
         gens = rand_gens(rng, n_max=6)
-        report = is_regular_semigroup(gens, cap=10_000)
-        if report.verdict.value == "UNDECIDED":
+        try:
+            report = is_regular_semigroup(gens, cap=10_000)
+        except EnumerationCapExceeded:
             continue
         assert (report.verdict.value, report.witness) == \
             all_pairs_regular(gens), gens
@@ -258,9 +266,21 @@ def test_full_monoid_6_regular_not_inverse():
     assert is_inverse_semigroup(t6).verdict.value == "FALSE"
 
 
-def test_full_monoid_7_past_default_cap_is_undecided():
+def test_full_monoid_7_past_default_cap_is_undecided(tmp_path, capsys,
+                                                     monkeypatch):
     t7 = full_monoid(7)  # 823 543 elements
+    cap_witness = {"kind": "enumeration-cap", "cap": 200_000}
     for check in (is_regular_semigroup, is_inverse_semigroup):
-        report = check(t7)
-        assert report.verdict.value == "UNDECIDED"
-        assert report.witness == {"kind": "enumeration-cap", "cap": 200_000}
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            check(t7)
+        assert exc.value.witness == cap_witness
+    # The command line reports the limit as UNDECIDED with that witness.
+    monkeypatch.delenv("TSPROPS_CAP", raising=False)
+    path = tmp_path / "t7.txt"
+    path.write_text(render_generators(t7))
+    for prop in ("regular", "inverse"):
+        assert cli.main(["check", str(path), "--property", prop,
+                         "--json"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "UNDECIDED"
+        assert report["witness"] == cap_witness
