@@ -19,7 +19,6 @@ functions that run them: the structural commands start without numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -111,13 +110,16 @@ def _verdict_exit(verdict: Verdict) -> int:
 def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
     from .oracle import definitional_check, enumerate_semigroup
 
+    rb = ReportBuilder(prop, gens, "oracle")
+
     def decide() -> PropertyReport:
         table = enumerate_semigroup(gens, cap)
         report = definitional_check(table, REGISTRY[prop].oracle_key)
-        # Report under the command-line property name, not the oracle's key.
-        return dataclasses.replace(report, property=prop)
+        # Stamped under the command-line property name, not the oracle's
+        # key, and on this clock, so the report claims the enumeration too.
+        return rb.done(report.verdict, report.witness)
 
-    return ReportBuilder(prop, gens, "oracle").run(decide)
+    return rb.run(decide)
 
 
 def _structural_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
@@ -208,7 +210,7 @@ def cmd_element(args) -> int:
     try:
         hit = finders[args.mode](gens, target, args.cap)
     except EnumerationCapExceeded as exc:
-        outcome.update(result="UNDECIDED", cap=exc.cap, witness=None)
+        outcome.update(result="UNDECIDED", witness=exc.witness)
         code = EXIT_UNDECIDED
     else:
         if hit is None:
@@ -225,9 +227,11 @@ def cmd_element(args) -> int:
         print(f"mode:   {outcome['mode']}")
         print(f"target: {outcome['target']}")
         print(f"result: {outcome['result']}")
-        if outcome["witness"] is not None:
+        if outcome["result"] == "FOUND":
             print(f"element: {outcome['witness']['map']}")
             print(f"word:    {outcome['witness']['word']}")
+        elif outcome["result"] == "UNDECIDED":
+            print(f"witness: {json.dumps(outcome['witness'], sort_keys=True)}")
     return code
 
 

@@ -409,18 +409,18 @@ def models(gens: GeneratorSet, qid: QuasiIdentity,
 
 
 def is_band(gens: GeneratorSet) -> PropertyReport:
-    return models(gens, PRESETS["band"], property_name="band")
+    return models(gens, PRESETS["band"], "band")
 
 
 def idempotents_commute(gens: GeneratorSet) -> PropertyReport:
     return models(gens, PRESETS["commuting_idempotents"],
-                  property_name="idempotents-commute")
+                  "idempotents-commute")
 
 
 def idempotents_central(gens: GeneratorSet) -> PropertyReport:
     return models(gens, PRESETS["central_idempotents"],
-                  property_name="idempotents-central")
+                  "idempotents-central")
 
 
 def is_orthodox(gens: GeneratorSet) -> PropertyReport:
-    return models(gens, PRESETS["orthodox"], property_name="orthodox")
+    return models(gens, PRESETS["orthodox"], "orthodox")

@@ -10,10 +10,14 @@ numpy arrays the vectorised checkers read are built once, at the end.
 Universally quantified conditions are evaluated over the whole element table;
 where a condition over all elements provably reduces to the generator case by
 associativity alone (left/right zeros, identities, commuting, centrality),
-the loop runs over generators.  R-triviality takes the right-multiplication
-graph's components from ``graph.strong_components`` and its connecting words
-from ``graph.search`` and ``graph.trace``; the structural ``r-trivial`` uses
-neither.
+the loop runs over generators.  ``regular`` is still the definition, some t
+with s·t·s = s for every s, but it tries the candidates t in index order
+one block at a time, for a chunk of s at once, and an s stops at the first
+block that holds its t; the first s left without one is the witness, as if
+each s had been tried against every t in turn.  R-triviality takes the
+right-multiplication graph's components from ``graph.strong_components``
+and its connecting words from ``graph.search`` and ``graph.trace``; the
+structural ``r-trivial`` uses neither.
 
 Each fact derived from the table is computed once and cached on it: the
 idempotent mask and powers, the left-zero, right-zero and zero masks, the
@@ -451,15 +455,61 @@ def _check_clifford(table):
     return _check_idempotents_commute(table)
 
 
+def _first_irregular(maps: np.ndarray, lo: int, hi: int) -> int | None:
+    """The first s in lo..hi-1 with no t such that s·t·s = s, or None.
+
+    The candidates t are tried in index order, one block at a time, and an
+    s leaves as soon as a block holds a t that works.  A block's products
+    hold no more entries than the table, so it has len(maps) // (open s)
+    candidates.  The last two open s take the rest one gather each: a
+    block shared by fewer s saves less than its extra numpy calls cost.
+    """
+    m, n = maps.shape
+    start = 0
+    open_s = range(lo, hi)
+    if hi - lo > 2:
+        chunk = np.arange(lo, hi)
+        rows = maps[lo:hi]
+        # Row s of the open rows starts at s·n when they are flattened.
+        offsets = np.arange(0, (hi - lo) * n, n, dtype=np.int32)[:, np.newaxis]
+        while start < m:
+            block = maps[start:start + m // chunk.size]
+            start += block.shape[0]
+            # st[t, s, p]: p under s, then t, as a position in the flat rows.
+            st = block[:, rows] + offsets[:chunk.size]
+            hit = (rows.ravel()[st] == rows).all(axis=2).any(axis=0)
+            if hit.all():
+                return None
+            chunk, rows = chunk[~hit], rows[~hit]
+            if chunk.size <= 2:
+                break
+        else:
+            return int(chunk[0])
+        open_s = chunk.tolist()
+    for s in open_s:
+        si = maps[s]
+        if not (si[maps[start:, si]] == si).all(axis=1).any():
+            return s
+    return None
+
+
 def _check_regular(table):
+    """The first s, in index order, with no t such that s·t·s = s.
+
+    The s are taken in chunks of 1, 2, 4, … up to 256 elements, and
+    ``_first_irregular`` scans each chunk.  Every earlier chunk closed, so
+    the first s a chunk leaves open is the first non-regular element.
+    """
     maps = table.maps
-    for i in range(len(table)):
-        si = maps[i]
-        sts = si[maps[:, si]]
-        if (sts == si).all(axis=1).any():
-            continue
-        return Verdict.FALSE, {"kind": "non-regular-element",
-                               "element": table.describe(i)}
+    m = len(table)
+    lo, size = 0, 1
+    while lo < m:
+        hi = min(lo + size, m)
+        i = _first_irregular(maps, lo, hi)
+        if i is not None:
+            return Verdict.FALSE, {"kind": "non-regular-element",
+                                   "element": table.describe(i)}
+        lo, size = hi, min(2 * size, 256)
     return Verdict.TRUE, None
 
 

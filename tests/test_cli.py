@@ -17,6 +17,7 @@ from tsprops.formats import parse_generators, render_dfa, render_digraph, render
 from tsprops.properties import REGISTRY
 from tsprops.reductions import DFA
 from tsprops.report import ReportBuilder
+from tsprops.witnesses import verify_witness
 
 
 def gen_file(tmp_path, name, *maps):
@@ -166,6 +167,29 @@ def test_an_undecided_report_claims_the_time_spent(tmp_path, capsys,
     assert report["elapsed_seconds"] >= 0.05
 
 
+@pytest.mark.parametrize("prop, verdict", [("group", "TRUE"),
+                                           ("band", "FALSE")])
+def test_a_decided_oracle_report_claims_the_enumeration(tmp_path, capsys,
+                                                        monkeypatch, prop,
+                                                        verdict):
+    # The clock starts before the element table is built.
+    enumerate_semigroup = oracle.enumerate_semigroup
+
+    def slow_enumeration(gens, cap):
+        time.sleep(0.05)
+        return enumerate_semigroup(gens, cap)
+
+    monkeypatch.setattr(oracle, "enumerate_semigroup", slow_enumeration)
+    sigma = gen_file(tmp_path, "sigma.txt", (2, 3, 1))
+    code = main(["check", sigma, "--property", prop, "--engine", "oracle",
+                 "--json"])
+    assert code == (0 if verdict == "TRUE" else 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == verdict
+    assert report["property"] == prop and report["engine"] == "oracle"
+    assert report["elapsed_seconds"] >= 0.05
+
+
 def test_inverse_decides_regularity_as_regular_does(tmp_path, capsys):
     # A commutative set goes through the graph route for both properties,
     # so a cap below |S| leaves neither of them undecided.
@@ -311,6 +335,19 @@ def test_element_command(tmp_path, capsys):
     assert main(["element", collapse, "--mode", "weak-inverse",
                  "--target", "1"]) == 0
     capsys.readouterr()
+
+    # Past --cap the search is UNDECIDED with a witness that replays.
+    assert main(["element", collapse, "--mode", "regularizer",
+                 "--target", "1", "--cap", "1", "--json"]) == 4
+    outcome = json.loads(capsys.readouterr().out)
+    assert outcome["result"] == "UNDECIDED"
+    assert outcome["witness"] == {"kind": "enumeration-cap", "cap": 1}
+    assert verify_witness(GeneratorSet.from_maps([(1, 1, 2)]),
+                          outcome["witness"])
+    assert main(["element", collapse, "--mode", "regularizer",
+                 "--target", "1", "--cap", "1"]) == 4
+    assert ('witness: {"cap": 1, "kind": "enumeration-cap"}'
+            in capsys.readouterr().out)
 
     assert main(["element", sigma, "--mode", "inverse", "--target", "9"]) == 2
     capsys.readouterr()

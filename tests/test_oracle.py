@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -33,6 +34,7 @@ from tsprops.oracle import (
     weak_inverse_exponent_check,
     zero_index,
 )
+from tsprops.report import Verdict
 from tsprops.witnesses import verify_witness
 
 SIGMA = GeneratorSet.from_maps([(2, 3, 1)])
@@ -450,3 +452,52 @@ def test_pairwise_idempotent_checks_stay_within_a_few_tables():
             tracemalloc.stop()
         assert report.verdict.value == "TRUE"
         assert peak < 16 * table.maps.nbytes, (key, peak)
+
+
+def first_non_regular(table):
+    """The oracle's ``regular`` as one gather per element: every t at once
+    for each s in index order, stopping at the first s with no t."""
+    maps = table.maps
+    for i in range(len(table)):
+        si = maps[i]
+        sts = si[maps[:, si]]
+        if (sts == si).all(axis=1).any():
+            continue
+        return Verdict.FALSE, {"kind": "non-regular-element",
+                               "element": table.describe(i)}
+    return Verdict.TRUE, None
+
+
+# Its first non-regular element has index 160, in the eighth chunk of s
+# (127..254), with regular elements before it in that chunk.
+LATE_NON_REGULAR = GeneratorSet.from_maps([(5, 3, 1, 4, 2), (1, 4, 2, 2, 5)])
+
+
+def test_regular_block_scan_matches_the_per_element_loop():
+    rng = random.Random(36)
+    sets = [full_monoid(4), full_monoid(5), LATE_NON_REGULAR,
+            commuting_idempotents(10)]
+    sets += [g for n in (1, 2, 3) for g in exhaustive_generator_sets(n, 2)]
+    sets += [rand_gens(rng, n_max=5) for _ in range(100)]
+    large = 0
+    while large < 4:   # tables of a few thousand elements
+        n = rng.randint(6, 7)
+        gens = GeneratorSet.from_maps(
+            [tuple(rng.randint(1, n) for _ in range(n)) for _ in range(2)])
+        try:
+            size = len(enumerate_semigroup(gens, cap=8000))
+        except EnumerationCapExceeded:
+            continue
+        if size >= 1000:
+            large += 1
+            sets.append(gens)
+    late = 0
+    for gens in sets:
+        table = enumerate_semigroup(gens)
+        verdict, witness = first_non_regular(table)
+        report = definitional_check(table, "regular")
+        assert report.verdict is verdict, gens
+        assert json.dumps(report.witness) == json.dumps(witness), gens
+        late += witness is not None and table.index_of(
+            Transformation(table.degree, tuple(witness["element"]["map"]))) >= 64
+    assert late >= 1
