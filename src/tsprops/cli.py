@@ -5,6 +5,11 @@ Subcommands: ``check`` (one property, structural and/or oracle engine),
 weak-inverse / inverse search for a target element), ``reduce`` (build hard
 instances from DFAs and digraphs), ``crosscheck`` (agreement sweeps).
 
+``check`` runs each engine through ``properties.ask``, and ``--engine both``
+judges the two reports with ``properties.agree``, the rule the sweeps use:
+the same verdict and, for the identity properties, the same set of
+identities.
+
 Exit codes: 0 TRUE/success, 1 FALSE/disagreements-found, 2 parse or input
 error (a bad option value or ``TSPROPS_CAP`` included), 3 unknown property,
 4 undecided (a cap or state budget hit, which ``ReportBuilder.run`` turns
@@ -35,7 +40,7 @@ from .formats import (
     render_generators,
 )
 from .identity_engine import parse_quasi_identity
-from .properties import REGISTRY
+from .properties import REGISTRY, agree, ask
 from .reductions import (
     InputDigraph,
     dfa_emptiness_to_nilpotent,
@@ -107,26 +112,6 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_UNDECIDED
 
 
-def _oracle_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
-    from .oracle import definitional_check, enumerate_semigroup
-
-    rb = ReportBuilder(prop, gens, "oracle")
-
-    def decide() -> PropertyReport:
-        table = enumerate_semigroup(gens, cap)
-        report = definitional_check(table, REGISTRY[prop].oracle_key)
-        # Stamped under the command-line property name, not the oracle's
-        # key, and on this clock, so the report claims the enumeration too.
-        return rb.done(report.verdict, report.witness)
-
-    return rb.run(decide)
-
-
-def _structural_report(gens: GeneratorSet, prop: str, cap: int) -> PropertyReport:
-    return ReportBuilder(prop, gens, "structural").run(
-        lambda: REGISTRY[prop].structural(gens, cap))
-
-
 def cmd_check(args) -> int:
     gens = _read_generators(args.file)
     prop = args.property
@@ -140,36 +125,30 @@ def cmd_check(args) -> int:
               "run it with --engine oracle", file=sys.stderr)
         return EXIT_UNKNOWN_PROPERTY
 
-    if args.engine == "structural":
-        report = _structural_report(gens, prop, args.cap)
-        _print_report(report, args.json)
-        return _verdict_exit(report.verdict)
-    if args.engine == "oracle":
-        report = _oracle_report(gens, prop, args.cap)
-        _print_report(report, args.json)
-        return _verdict_exit(report.verdict)
+    engines = (("structural", "oracle") if args.engine == "both"
+               else (args.engine,))
+    reports = [ask(gens, prop, engine, args.cap) for engine in engines]
+    if len(reports) == 1:
+        _print_report(reports[0], args.json)
+        return _verdict_exit(reports[0].verdict)
 
-    structural = _structural_report(gens, prop, args.cap)
-    oracle = _oracle_report(gens, prop, args.cap)
-    agree = structural.verdict.value == oracle.verdict.value
+    structural, oracle = reports
+    agreed = agree(structural, oracle)
     if args.json:
         print(json.dumps({
             "structural": structural.to_json_dict(),
             "oracle": oracle.to_json_dict(),
-            "agree": agree,
+            "agree": agreed,
         }, indent=2, sort_keys=True))
     else:
         _print_report(structural, False)
         print()
         _print_report(oracle, False)
         print()
-        print(f"agreement: {'yes' if agree else 'NO'}")
-    undecided = Verdict.UNDECIDED in (structural.verdict, oracle.verdict)
-    if not agree and not undecided:
-        return EXIT_DISAGREE
-    if undecided:
+        print(f"agreement: {'yes' if agreed else 'NO'}")
+    if Verdict.UNDECIDED in (structural.verdict, oracle.verdict):
         return EXIT_UNDECIDED
-    return _verdict_exit(structural.verdict)
+    return _verdict_exit(structural.verdict) if agreed else EXIT_DISAGREE
 
 
 def cmd_identity(args) -> int:

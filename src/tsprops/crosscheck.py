@@ -2,18 +2,20 @@
 
 The package's central claim is that every structural checker returns the same
 verdict as brute-force evaluation over the enumerated element table.  This
-module generates instance streams (exhaustive and seeded-random), runs both
-engines on each instance, and aggregates any disagreement into a
-deterministic, JSON-ready summary.  The two routes stay independent: the
-structural side never sees the element table, the oracle side never sees
-the structural verdict, and no property runs ``graph.strong_components`` or
-``graph.search`` on both sides (``tests/test_layering.py`` checks this),
-although structural ``regular`` and oracle ``r_trivial`` both use them.  An
-instance past the element cap has no oracle verdict: the sweep counts it as
-``UNDECIDED`` for every swept property and goes on.  A structural check
-that meets a state budget is ``UNDECIDED`` through ``ReportBuilder.run``:
-the sweep counts that property of that instance as ``UNDECIDED``, compares
-nothing for it, and goes on.
+module generates instance streams (exhaustive and seeded-random), asks both
+engines on each instance through ``properties.ask`` (the oracle over the
+instance's one element table), judges each pair with ``properties.agree``
+(the rule ``tsprops check --engine both`` uses), and aggregates any
+disagreement into a deterministic, JSON-ready summary.  The two routes stay
+independent: the structural side never sees the element table, the oracle
+side never sees the structural verdict, and no property runs
+``graph.strong_components`` or ``graph.search`` on both sides
+(``tests/test_layering.py`` checks this), although structural ``regular``
+and oracle ``r_trivial`` both use them.  An instance past the element cap
+has no oracle verdict: the sweep counts it as ``UNDECIDED`` for every swept
+property and goes on.  A structural check that meets a state budget is
+``UNDECIDED`` through ``ReportBuilder.run``: the sweep counts that property
+of that instance as ``UNDECIDED``, compares nothing for it, and goes on.
 """
 
 from __future__ import annotations
@@ -26,14 +28,9 @@ from typing import Iterable, Iterator
 from .core import GeneratorSet
 from .errors import EnumerationCapExceeded
 from .formats import cached_instance_digest, render_generators
-from .oracle import (
-    DEFAULT_CAP,
-    ElementTable,
-    definitional_check,
-    enumerate_semigroup,
-)
-from .properties import REGISTRY
-from .report import PropertyReport, ReportBuilder, Verdict
+from .oracle import DEFAULT_CAP, ElementTable, enumerate_semigroup
+from .properties import REGISTRY, agree, ask
+from .report import PropertyReport, Verdict
 
 
 @dataclass
@@ -74,7 +71,7 @@ def seeded_instances(seed: int, samples: int, n_max: int,
         yield GeneratorSet.from_maps(maps)
 
 
-def _swept(properties: Iterable[str] | None) -> list[str]:
+def _swept(properties: Iterable[str] | None = None) -> list[str]:
     """The registry's names with a structural route, in registry order,
     limited to ``properties`` when it is given."""
     wanted = set(properties) if properties is not None else None
@@ -95,17 +92,14 @@ def check_instance(gens: GeneratorSet,
                             element_count=len(table), verdicts={})
 
     for name in _swept(properties):
-        structural, oracle_key = REGISTRY[name]
-        s_report = ReportBuilder(name, gens, "structural").run(
-            lambda: structural(gens, cap))
-        o_report = definitional_check(table, oracle_key)
+        s_report = ask(gens, name, "structural", cap)
+        o_report = ask(gens, name, "oracle", cap, table)
         result.verdicts[name] = {
             "structural": s_report.verdict.value,
             "oracle": o_report.verdict.value,
         }
-        if s_report.verdict is not Verdict.UNDECIDED and (
-                s_report.verdict.value != o_report.verdict.value
-                or _identity_maps(s_report) != _identity_maps(o_report)):
+        if (s_report.verdict is not Verdict.UNDECIDED
+                and not agree(s_report, o_report)):
             result.mismatches.append(name)
         if collect_reports:
             result.reports.extend((s_report, o_report))
@@ -113,16 +107,7 @@ def check_instance(gens: GeneratorSet,
     return result
 
 
-def _identity_maps(report: PropertyReport) -> set[tuple[int, ...]] | None:
-    """The maps of an identity-list witness as a set; None for other kinds."""
-    witness = report.witness
-    if witness is None or witness.get("kind") != "identity-list":
-        return None
-    return {tuple(entry["map"]) for entry in witness["identities"]}
-
-
 def run_sweep(instances: Iterable[GeneratorSet],
-              properties: Iterable[str] | None = None,
               cap: int = DEFAULT_CAP) -> dict:
     """Check a stream of instances; summary is JSON-ready and timing-free.
 
@@ -130,7 +115,7 @@ def run_sweep(instances: Iterable[GeneratorSet],
     counts of every swept property, and a structural check past a state
     budget to those of its own property; the sweep goes on.
     """
-    swept = _swept(properties)
+    swept = _swept()
     totals: dict[str, dict[str, int]] = {}
     mismatch_records = []
     count = 0

@@ -110,19 +110,10 @@ def undirected_components(g: Digraph) -> list[tuple[int, ...]]:
     seen: set[int] = set()
     comps = []
     for root in g.vertices:
-        if root in seen:
-            continue
-        comp = []
-        queue = deque([root])
-        seen.add(root)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in sorted(succ[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+        if root not in seen:
+            comp = closure([root], succ.__getitem__)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps
 
 

@@ -2,10 +2,14 @@
 
 Each entry pairs a structural route ``fn(gens, cap) -> PropertyReport`` (or
 ``None`` where only the oracle decides the property) with the key that
-``oracle.definitional_check`` takes.  The command line and the cross-check
-both read this one table.  Structural routes look their checker up in its
-module at call time, so a checker replaced on its module is the one that
-runs.
+``oracle.definitional_check`` takes.  Structural routes look their checker
+up in its module at call time, so a checker replaced on its module is the
+one that runs.
+
+``ask`` runs one property on one engine and ``agree`` judges a structural
+report against an oracle report.  The command line and the cross-check
+both go through these two, so they run a property one way and judge
+agreement by one rule.
 """
 
 from __future__ import annotations
@@ -76,3 +80,41 @@ REGISTRY: dict[str, Routes] = {
                "right_identities"),
     "aperiodic": Routes(None, "aperiodic"),
 }
+
+
+def ask(gens: GeneratorSet, prop: str, engine: str, cap: int,
+        table=None) -> PropertyReport:
+    """The report of ``engine`` ("structural" or "oracle") on ``prop``.
+
+    Either route runs under ``ReportBuilder.run``, so a limit comes back
+    UNDECIDED.  The oracle enumerates S on the report's own clock under
+    ``cap``, unless it is given the element ``table``, and its report is
+    stamped under the command-line name ``prop``.
+    """
+    rb = ReportBuilder(prop, gens, engine)
+    if engine == "structural":
+        return rb.run(lambda: REGISTRY[prop].structural(gens, cap))
+    from . import oracle  # numpy: only the oracle side needs it
+
+    def decide() -> PropertyReport:
+        elements = (oracle.enumerate_semigroup(gens, cap) if table is None
+                    else table)
+        report = oracle.definitional_check(elements, REGISTRY[prop].oracle_key)
+        return rb.done(report.verdict, report.witness)
+
+    return rb.run(decide)
+
+
+def _identity_maps(report: PropertyReport) -> set[tuple[int, ...]] | None:
+    """The maps of an identity-list witness as a set; None for other kinds."""
+    witness = report.witness
+    if witness is None or witness.get("kind") != "identity-list":
+        return None
+    return {tuple(entry["map"]) for entry in witness["identities"]}
+
+
+def agree(structural: PropertyReport, oracle: PropertyReport) -> bool:
+    """Whether two reports on one property agree: the same verdict and, for
+    the identity properties, the same set of identities."""
+    return (structural.verdict == oracle.verdict
+            and _identity_maps(structural) == _identity_maps(oracle))

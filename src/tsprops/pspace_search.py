@@ -4,9 +4,8 @@ inverses.
 Every search here walks S as the orbit of the identity tuple under
 ``graph.search``: raw map tuples in canonical order (by word length, then
 lexicographically by generator index), each stored with its parent only,
-so ``graph.trace`` rebuilds a word only for an element that is reported.
-``iter_elements``, which reports every element, also stores each one's
-last letter and walks the stored letters back.
+so ``graph.trace`` rebuilds a word only for an element that is reported
+(``iter_elements`` reports every element).
 On instances whose element count exceeds the cap every search here raises
 ``EnumerationCapExceeded`` instead of guessing; the front end reports that
 as UNDECIDED with the cap as its witness.
@@ -64,22 +63,9 @@ def iter_elements(gens: GeneratorSet,
     Raises EnumerationCapExceeded as soon as more than ``cap`` distinct
     elements appear.
     """
-    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
-    identity = _identity(gens)
     parent: dict = {}
-    letter: dict = {}
     for t in _maps(gens, cap, parent):
-        prev = parent[t]
-        # graph.trace's letter: the first generator stepping the source to t.
-        source = identity if prev is None else prev
-        letter[t] = next(c for c, step in enumerate(steps, start=1)
-                         if tuple(map(step, source)) == t)
-        word = []
-        u = t
-        while u is not None:
-            word.append(letter[u])
-            u = parent[u]
-        yield Transformation(gens.degree, t), tuple(reversed(word))
+        yield Transformation(gens.degree, t), _word(gens, parent, t)
 
 
 def _first(gens: GeneratorSet, s: Transformation, cap: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -209,6 +210,32 @@ def test_check_engine_disagreement_exit5(tmp_path, capsys, monkeypatch):
     assert main(["check", sigma, "--property", "zero",
                  "--engine", "both"]) == 5
     assert "agreement: NO" in capsys.readouterr().out
+
+
+def test_check_different_identity_sets_disagree(tmp_path, capsys,
+                                                monkeypatch):
+    # Both engines say TRUE; only the sets of identities tell them apart,
+    # as they do in the sweeps.
+    real = REGISTRY["left-identities"].structural
+
+    def liar(gens, cap):
+        report = real(gens, cap)
+        witness = dict(report.witness,
+                       identities=report.witness["identities"][:-1])
+        return dataclasses.replace(report, witness=witness)
+
+    monkeypatch.setitem(REGISTRY, "left-identities",
+                        REGISTRY["left-identities"]._replace(structural=liar))
+    sigma = gen_file(tmp_path, "sigma.txt", (1, 2), (2, 1))
+    argv = ["check", sigma, "--property", "left-identities", "--engine", "both"]
+    assert main(argv) == 5
+    out = capsys.readouterr().out
+    assert "verdict:  TRUE" in out and "agreement: NO" in out
+    assert main(argv + ["--json"]) == 5
+    combined = json.loads(capsys.readouterr().out)
+    assert combined["agree"] is False
+    assert (combined["structural"]["verdict"], combined["oracle"]["verdict"]) \
+        == ("TRUE", "TRUE")
 
 
 def test_cap_environment_variable(tmp_path, capsys, monkeypatch):

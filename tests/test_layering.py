@@ -17,7 +17,9 @@ routine on both routes, which two tests check by running every property's
 two routes with the routine wrapped.
 
 A checker decides or raises, so only ``report`` builds an UNDECIDED report,
-in ``ReportBuilder.run``.
+in ``ReportBuilder.run``.  ``properties.ask`` is the one runner of a
+property's route, so the command line and the sweeps run a property one way
+and judge agreement by ``properties.agree``.
 """
 
 import ast
@@ -181,3 +183,28 @@ def test_only_report_builds_an_undecided_report():
             built[path.name] = lines
     assert list(built) == ["report.py"]
     assert len(built["report.py"]) == 1
+
+
+
+def _name_of(node):
+    """The name a ``Name``, an ``Attribute`` or an imported ``alias`` holds."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or (
+        node.name if isinstance(node, ast.alias) else None)
+
+
+def _routes_run(tree):
+    """The lines that name ``definitional_check`` or call a ``structural``
+    route, by attribute (``REGISTRY[p].structural(...)``) or by a name the
+    route was unpacked into."""
+    for node in ast.walk(tree):
+        if _name_of(node) == "definitional_check" or (
+                isinstance(node, ast.Call)
+                and _name_of(node.func) == "structural"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", ("cli", "crosscheck"))
+def test_front_ends_run_a_route_only_through_ask(module):
+    path = Path(tsprops.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not list(_routes_run(tree))

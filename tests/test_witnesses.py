@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from tsprops import cli, graph
+from tsprops import graph, properties
 from tsprops.core import GeneratorSet, Transformation
 from tsprops.crosscheck import check_instance
 from tsprops.errors import (EnumerationCapExceeded, LimitExceeded,
@@ -246,7 +246,7 @@ def test_every_limit_witness_replays_and_rejects_tampering(monkeypatch):
     assert set(LIMITS) == set(LimitExceeded.__subclasses__())
     monkeypatch.setattr(graph, "STATE_BUDGET", 3)
     for kind, gens, prop, cap, mutations in LIMITS.values():
-        report = cli._structural_report(gens, prop, cap)
+        report = properties.ask(gens, prop, "structural", cap)
         assert report.verdict.value == "UNDECIDED"
         assert report.witness["kind"] == kind
         assert verify_witness(gens, report)
