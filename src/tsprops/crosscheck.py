@@ -8,8 +8,8 @@ instance's one element table), judges each pair with ``properties.agree``
 (the rule ``tsprops check --engine both`` uses), and aggregates any
 disagreement into a deterministic, JSON-ready summary.  The two routes stay
 independent: the structural side never sees the element table, the oracle
-side never sees the structural verdict, and no property runs
-``graph.strong_components`` or ``graph.search`` on both sides
+side never sees the structural verdict, and no property runs Tarjan's
+``graph.iter_strong_components`` or ``graph.search`` on both sides
 (``tests/test_layering.py`` checks this), although structural ``regular``
 and oracle ``r_trivial`` both use them.  An instance past the element cap
 has no oracle verdict: the sweep counts it as ``UNDECIDED`` for every swept

@@ -6,8 +6,9 @@ some generator maps ``p`` to ``q``.
 S acts on tuples of points componentwise, and S itself is the orbit of the
 identity tuple ``(1, .., n)`` under that action, so every ordered search
 here, over elements or over point tuples, is one breadth-first search,
-``search``.  A generator ``g`` steps ``t`` to
-``tuple(map(((0,) + g.map).__getitem__, t))``; sources are taken in the
+``search``.  A generator ``g`` steps ``t`` to ``gather(t)((0,) + g.map)``,
+one ``operator.itemgetter`` call that reads ``g``'s point table at ``t``'s
+points, so no walk loops over points in Python.  Sources are taken in the
 order given and each tuple's successors in generator order, so the path
 back to a source spells the shortest word, and among those the
 lexicographically least by 1-indexed generator index.  The search stores
@@ -25,9 +26,11 @@ way for its connecting words.
 ``closure`` grows a set under any step function, with no order and no
 words: ``reach_set`` closes a tuple's successors under a successor function
 its caller may memoise, as ``identity_engine`` does, and the zero checks
-close backwards over predecessor maps.  ``strong_components`` is the one
-Tarjan, for ``image_orbit``, the nilpotency bound and the oracle's
-R-triviality check.  Every structural search checks the size of its state
+close backwards over predecessor maps.  ``iter_strong_components`` is the
+one Tarjan: it yields each component as it closes, so the oracle's
+R-triviality check stops at the first one with two members, and
+``strong_components`` numbers its output for ``image_orbit`` and the
+nilpotency bound.  Every structural search checks the size of its state
 space with ``within_budget``, which reads ``STATE_BUDGET`` at call time.
 """
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import GeneratorSet
 from .errors import StateBudgetExceeded
@@ -155,12 +159,29 @@ def has_cycle(g: Digraph, ignore_self_loops: bool) -> tuple[bool, tuple[int, ...
     return False, None
 
 
+def gather(points: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """``g -> tuple(g[p] for p in points)`` as one ``itemgetter`` call:
+    ``gather(t)((0,) + g.map)`` is the point tuple ``t`` stepped by ``g``.
+
+    ``itemgetter`` of one index returns a scalar, so a single point reads
+    its entry into a 1-tuple instead.
+    """
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda g, q=points[0]: (g[q],)
+
+
+def _point_tables(gens: GeneratorSet) -> list[tuple[int, ...]]:
+    # (0,) + g.map is g shifted to index by point.
+    return [(0,) + g.map for g in gens.generators]
+
+
 def tuple_successors(gens: GeneratorSet) -> Successors:
     """The successor function of ``gens`` on point tuples of any dimension."""
-    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
+    by_point = _point_tables(gens)
 
     def successors(t: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(map(step, t)) for step in steps]
+        return list(map(gather(t), by_point))
 
     return successors
 
@@ -174,20 +195,21 @@ def search(gens: GeneratorSet, sources: Sequence[tuple[int, ...]],
     ``parent`` is the visited set: before a tuple is yielded it maps it to
     the tuple it was reached from, or to None when a source reached it.
     """
-    # (0,) + g.map is g shifted to index by point.
-    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
+    by_point = _point_tables(gens)
     queue: deque[tuple[int, ...]] = deque()
     for s in sources:
-        for step in steps:
-            t = tuple(map(step, s))
+        times = gather(s)
+        for g in by_point:
+            t = times(g)
             if t not in parent:
                 parent[t] = None
                 yield t
                 queue.append(t)
     while queue:
         cur = queue.popleft()
-        for step in steps:
-            t = tuple(map(step, cur))
+        times = gather(cur)
+        for g in by_point:
+            t = times(g)
             if t not in parent:
                 parent[t] = cur
                 yield t
@@ -200,12 +222,13 @@ def trace(gens: GeneratorSet, sources: Sequence[tuple[int, ...]],
     """``(source, word)`` of ``t`` in the search of ``sources`` that filled
     ``parent``: the canonical word, shortest and then lexicographically
     least, and the first source it is shortest from."""
-    steps = [((0,) + g.map).__getitem__ for g in gens.generators]
+    by_point = _point_tables(gens)
 
     def letter(prev: tuple[int, ...], cur: tuple[int, ...]) -> int | None:
         """The first generator mapping ``prev`` to ``cur``, 1-indexed."""
-        for c, step in enumerate(steps, start=1):
-            if tuple(map(step, prev)) == cur:
+        times = gather(prev)
+        for c, g in enumerate(by_point, start=1):
+            if times(g) == cur:
                 return c
         return None
 
@@ -239,20 +262,20 @@ def reach_set(source: tuple[int, ...],
     return frozenset(closure(successors(source), successors))
 
 
-def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Strong components of the digraph ``v -> succ[v]`` on 0..len(succ)-1.
+def iter_strong_components(succ: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Yield the strong components of the digraph ``v -> succ[v]`` on
+    0..len(succ)-1, each as it closes, its members ascending.
 
     Tarjan's algorithm without recursion: a frame scans its vertex's
-    successors in place and a new frame is pushed only to descend.
-    ``component[v]`` numbers the component of ``v`` and ``components[c]``
-    lists its members ascending.  Components are numbered in the order
-    they close, so every edge ``v -> w`` has ``component[w] <= component[v]``.
+    successors in place and a new frame is pushed only to descend.  A
+    component closes only after every component it reaches, so every edge
+    ``v -> w`` leads to a component yielded no later than that of ``v``.
+    A caller that stops early has read only the rows of the vertices
+    visited so far.
     """
     n = len(succ)
     order = [-1] * n          # discovery number, -1 while unvisited
     low = [0] * n
-    component = [-1] * n      # a visited vertex is on the stack while -1
-    components: list[list[int]] = []
     stack: list[int] = []
     counter = 0
     for root in range(n):
@@ -273,7 +296,7 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
                     work[-1] = (v, pos)
                     work.append((w, 0))
                     break
-                if component[w] < 0 and order[w] < low[v]:
+                if order[w] < low[v]:
                     low[v] = order[w]
             else:
                 work.pop()
@@ -281,15 +304,30 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
                     members = []
                     while True:
                         w = stack.pop()
-                        component[w] = len(components)
+                        # A closed vertex's number passes every discovery
+                        # number, so an edge into it lowers no ``low``.
+                        order[w] = n
                         members.append(w)
                         if w == v:
                             break
-                    components.append(sorted(members))
+                    yield sorted(members)
                 if work:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
+
+
+def strong_components(succ: Sequence[Sequence[int]]
+                      ) -> tuple[list[int], list[list[int]]]:
+    """``(component, components)``: ``components`` lists the components of
+    ``iter_strong_components`` in closing order, and ``component[v]``
+    numbers the component of ``v``, so every edge ``v -> w`` has
+    ``component[w] <= component[v]``."""
+    component = [-1] * len(succ)
+    components = list(iter_strong_components(succ))
+    for c, members in enumerate(components):
+        for v in members:
+            component[v] = c
     return component, components
 
 

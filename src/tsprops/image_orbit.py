@@ -10,8 +10,9 @@ in transformation semigroups", Math. Z. 1998).  The orbit has at most
 
 Pure Python on purpose: the structural checks that use it must not depend
 on numpy or on the oracle.  The components come from
-``graph.strong_components``, which the oracle's R-triviality check also
-uses; no property decides through it on both routes.
+``graph.strong_components``, which numbers the components of the one
+Tarjan, ``graph.iter_strong_components``; the oracle's R-triviality check
+also runs that Tarjan, but no property decides through it on both routes.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ with s·t·s = s for every s, but it tries the candidates t in index order
 one block at a time, for a chunk of s at once, and an s stops at the first
 block that holds its t; the first s left without one is the witness, as if
 each s had been tried against every t in turn.  R-triviality takes the
-right-multiplication graph's components from ``graph.strong_components``
-and its connecting words from ``graph.search`` and ``graph.trace``; the
-structural ``r-trivial`` uses neither.
+right-multiplication graph's components from
+``graph.iter_strong_components`` as they close and stops at the first one
+with two members, the witness; its connecting words come from
+``graph.search`` and ``graph.trace``.  The structural ``r-trivial`` uses
+neither.
 
 Each fact derived from the table is computed once and cached on it: the
 idempotent mask and powers, the left-zero, right-zero and zero masks, the
@@ -38,7 +40,7 @@ import numpy as np
 
 from .core import DEFAULT_CAP, GeneratorSet, Transformation
 from .errors import EnumerationCapExceeded, StateBudgetExceeded, UnknownPropertyError
-from .graph import search, strong_components, trace
+from .graph import iter_strong_components, search, trace
 from .report import PropertyReport, ReportBuilder, Verdict
 
 
@@ -529,7 +531,7 @@ def _check_inverse(table):
 
 
 def _check_r_trivial(table):
-    for comp in strong_components(table.succ.tolist())[1]:
+    for comp in iter_strong_components(table.succ.tolist()):
         if len(comp) < 2:
             continue
         s, t = comp[:2]
@@ -655,40 +657,3 @@ def models_by_enumeration(table: ElementTable, qid,
         assignment.append({"var": v + 1, "element": table.describe(pick)})
     return False, {"kind": "assignment-counterexample",
                    "identity": qid.render(), "assignment": assignment}
-
-
-def weak_inverse_exponent_check(table: ElementTable) -> tuple[bool, int | None]:
-    """Check t.s.t = t with t = s^(2*omega-1) for every element, in bulk.
-
-    Returns (all_ok, first failing index).
-    """
-    m = len(table)
-    maps = table.maps
-    omega = np.zeros(m, dtype=np.int64)
-    cur = maps.copy()
-    exp = 1
-    while (omega == 0).any():
-        idem = (_compose_rows(cur, cur) == cur).all(axis=1)
-        newly = idem & (omega == 0)
-        omega[newly] = exp
-        cur = _compose_rows(cur, maps)
-        exp += 1
-        if exp > 4 * table._uniform_exponent + 4:
-            raise RuntimeError("idempotent power not found; this is a bug")
-    targets = 2 * omega - 1
-    t_rows = np.empty_like(maps)
-    cur = maps.copy()
-    exp = 1
-    remaining = int(m)
-    while remaining:
-        sel = targets == exp
-        if sel.any():
-            t_rows[sel] = cur[sel]
-            remaining -= int(sel.sum())
-        cur = _compose_rows(cur, maps)
-        exp += 1
-    tst = _compose_rows(_compose_rows(t_rows, maps), t_rows)
-    bad = np.flatnonzero((tst != t_rows).any(axis=1))
-    if bad.size:
-        return False, int(bad[0])
-    return True, None

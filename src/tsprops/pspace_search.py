@@ -29,7 +29,7 @@ from .core import (DEFAULT_CAP, GeneratorSet, Transformation,
                    idempotent_power_exponent, power)
 from .errors import (DegreeMismatchError, EnumerationCapExceeded,
                      PreconditionError)
-from .graph import search, trace
+from .graph import gather, search, trace
 from .image_orbit import image_orbit
 from .nl_checks import is_regular_commutative
 from .report import PropertyReport, ReportBuilder, all_of, remembered
@@ -84,32 +84,40 @@ def _first(gens: GeneratorSet, s: Transformation, cap: int,
 
 
 # s·t·s = s says s(t(x)) = x for every x in im(s); t·s·t = t says
-# t(s(y)) = y for every y in im(t).  Maps are 1-indexed tuples, and
-# shifted = (0,) + s.map indexes s by point.
+# t(s(t(x))) = t(x) for every point x.  Maps are 1-indexed tuples, read
+# with ``graph.gather``: shifted = (0,) + s.map indexes s by point, and
+# lowered = (0,) + (s.map - 1) gives s's images as 0-indexed positions.
+
+def _regularizes(s: Transformation) -> Callable[[Map], bool]:
+    """The test s·t·s = s of a candidate map t."""
+    image = tuple(sorted(set(s.map)))
+    at_image, shifted = gather(tuple(x - 1 for x in image)), (0,) + s.map
+    return lambda t: gather(at_image(t))(shifted) == image
+
+
+def _weakly_inverts(s: Transformation) -> Callable[[Map], bool]:
+    """The test t·s·t = t of a candidate map t."""
+    lowered = (0,) + tuple(x - 1 for x in s.map)
+    return lambda t: gather(gather(t)(lowered))(t) == t
+
 
 def find_regularizer(gens: GeneratorSet, s: Transformation,
                      cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with s·t·s = s, or None after exhausting S."""
-    shifted, im_s = (0,) + s.map, set(s.map)
-    return _first(gens, s, cap,
-                  lambda t: all(shifted[t[x - 1]] == x for x in im_s))
+    return _first(gens, s, cap, _regularizes(s))
 
 
 def find_weak_inverse(gens: GeneratorSet, s: Transformation,
                       cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with t·s·t = t, or None."""
-    shifted = (0,) + s.map
-    return _first(gens, s, cap,
-                  lambda t: all(t[shifted[y] - 1] == y for y in t))
+    return _first(gens, s, cap, _weakly_inverts(s))
 
 
 def find_inverse(gens: GeneratorSet, s: Transformation,
                  cap: int = DEFAULT_CAP) -> tuple[Transformation, tuple[int, ...]] | None:
     """First t in canonical order with s·t·s = s and t·s·t = t, or None."""
-    shifted, im_s = (0,) + s.map, set(s.map)
-    return _first(gens, s, cap,
-                  lambda t: all(shifted[t[x - 1]] == x for x in im_s)
-                  and all(t[shifted[y] - 1] == y for y in t))
+    regularizes, weakly_inverts = _regularizes(s), _weakly_inverts(s)
+    return _first(gens, s, cap, lambda t: regularizes(t) and weakly_inverts(t))
 
 
 def canonical_weak_inverse(s: Transformation) -> tuple[Transformation, int]:
@@ -153,15 +161,19 @@ def is_regular_semigroup(gens: GeneratorSet,
     for _ in _maps(gens, cap, parent):
         pass
     orbit = image_orbit(gens)
+    component_of = {image: orbit.component[i]
+                    for image, i in orbit.index.items()}
     regular_class: dict[tuple[Map, int], bool] = {}
     for s in parent:    # S in canonical order
-        first: dict[int, int] = {}
-        labels = tuple([first.setdefault(x, len(first)) for x in s])
-        comp = orbit.component[orbit.index[frozenset(s)]]
+        # Points share a label, the first position of their image, exactly
+        # when they share a class of ker(s).
+        labels = tuple(map(s.index, s))
+        image = frozenset(s)
+        comp = component_of[image]
         key = (labels, comp)
         regular = regular_class.get(key)
         if regular is None:
-            rank = len(first)
+            rank = len(image)
             regular = regular_class[key] = any(
                 len(orbit.images[j]) == rank
                 and len({labels[a - 1] for a in orbit.images[j]}) == rank

@@ -4,13 +4,12 @@ generator sets with promised properties.
 Each constructor is an exact translation with a testable guarantee tying the
 input problem to a semigroup property of the output (zero existence,
 nilpotency, R-triviality, regularity of a designated element, existence of a
-weak inverse).  The direct DFA/digraph deciders at the bottom provide the
-independent left-hand sides for those guarantees in tests.
+weak inverse).  The tests judge those guarantees with direct deciders of
+their own.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import GeneratorSet, Transformation
@@ -254,52 +253,3 @@ def dfa_intersection_to_weak_inverse(dfas: list[DFA] | tuple[DFA, ...]) -> tuple
                    for _ in range(d.n)) + (sink,)
     gens = GeneratorSet.from_maps(maps + [rewind], names=names + ["rewind"])
     return gens, Transformation(sink, target)
-
-
-def dfa_language_nonempty(dfa: DFA) -> bool:
-    """Direct reachability: does some word (possibly empty) reach a final
-    state from the initial state?"""
-    if dfa.initial in dfa.finals:
-        return True
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        for a in dfa.letters:
-            nxt = a.apply(q)
-            if nxt in dfa.finals:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def dfa_intersection_nonempty(dfas: list[DFA] | tuple[DFA, ...]) -> bool:
-    """Direct product-automaton reachability for the common language."""
-    if not dfas:
-        raise PreconditionError("at least one automaton required")
-    k = len(dfas[0].letters)
-    for d in dfas:
-        if len(d.letters) != k:
-            raise PreconditionError("all automata must share one alphabet "
-                                    "(same letter count)")
-    start = tuple(d.initial for d in dfas)
-
-    def accepting(state: tuple[int, ...]) -> bool:
-        return all(q in d.finals for q, d in zip(state, dfas))
-
-    if accepting(start):
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for i in range(k):
-            nxt = tuple(d.letters[i].apply(q) for q, d in zip(state, dfas))
-            if nxt not in seen:
-                if accepting(nxt):
-                    return True
-                seen.add(nxt)
-                queue.append(nxt)
-    return False

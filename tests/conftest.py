@@ -3,7 +3,8 @@
 The exhaustive degree-3 pool (756 generator sets) is enumerated once per
 session and kept with its element tables; several acceptance checks reuse it.
 The large seeded pool is streamed once and reduced to aggregate statistics so
-its tables never accumulate in memory.
+its tables never accumulate in memory.  ``weak_inverse_exponent_check`` is
+the sweeps' bulk judge of the weak inverse s^(2w-1) over an element table.
 """
 
 import os
@@ -12,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tsprops
@@ -22,11 +24,7 @@ from tsprops.crosscheck import (
     seeded_instances,
 )
 from tsprops.nl_checks import nilpotency_degree_upper_bound
-from tsprops.oracle import (
-    ElementTable,
-    enumerate_semigroup,
-    weak_inverse_exponent_check,
-)
+from tsprops.oracle import ElementTable, _compose_rows, enumerate_semigroup
 from tsprops.witnesses import WitnessReplayError, verify_witness
 
 SEED = 20240817
@@ -60,6 +58,43 @@ def cli_command():
     env["PYTHONPATH"] = os.pathsep.join(
         [package_parent] + [p for p in inherited.split(os.pathsep) if p])
     return [sys.executable, "-m", "tsprops"], env
+
+
+def weak_inverse_exponent_check(table: ElementTable) -> tuple[bool, int | None]:
+    """Check t.s.t = t with t = s^(2*omega-1) for every element, in bulk.
+
+    Returns (all_ok, first failing index).
+    """
+    m = len(table)
+    maps = table.maps
+    omega = np.zeros(m, dtype=np.int64)
+    cur = maps.copy()
+    exp = 1
+    while (omega == 0).any():
+        idem = (_compose_rows(cur, cur) == cur).all(axis=1)
+        newly = idem & (omega == 0)
+        omega[newly] = exp
+        cur = _compose_rows(cur, maps)
+        exp += 1
+        if exp > 4 * table._uniform_exponent + 4:
+            raise RuntimeError("idempotent power not found; this is a bug")
+    targets = 2 * omega - 1
+    t_rows = np.empty_like(maps)
+    cur = maps.copy()
+    exp = 1
+    remaining = int(m)
+    while remaining:
+        sel = targets == exp
+        if sel.any():
+            t_rows[sel] = cur[sel]
+            remaining -= int(sel.sum())
+        cur = _compose_rows(cur, maps)
+        exp += 1
+    tst = _compose_rows(_compose_rows(t_rows, maps), t_rows)
+    bad = np.flatnonzero((tst != t_rows).any(axis=1))
+    if bad.size:
+        return False, int(bad[0])
+    return True, None
 
 
 @dataclass

@@ -55,15 +55,14 @@ from tsprops.reductions import (
     InputDigraph,
     dfa_emptiness_to_nilpotent,
     dfa_emptiness_to_zero,
-    dfa_intersection_nonempty,
     dfa_intersection_to_regular,
     dfa_intersection_to_weak_inverse,
-    dfa_language_nonempty,
     digraph_to_semigroup,
 )
 from tsprops.witnesses import WitnessReplayError, verify_witness
 
 from conftest import CLI_TIMEOUT_SECONDS, SEEDED_SAMPLES
+from dfa_judges import dfa_intersection_nonempty, dfa_language_nonempty
 
 # the 20 fixed ad-hoc quasi-identities for criterion 7 (sides total <= 5
 # letters, at most 4 distinct variables so brute force stays enumerable)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -9,6 +10,7 @@ from tsprops.graph import (
     Digraph,
     closure,
     has_cycle,
+    iter_strong_components,
     multi_tuple_reachability,
     reach_set,
     strong_components,
@@ -279,3 +281,93 @@ def test_closure_includes_its_seeds_and_matches_reachability():
         got = closure(seeds, succ.__getitem__)
         assert got == want and set(seeds) <= got, (succ, seeds)
     assert closure([], succ.__getitem__) == set()
+
+
+def test_iter_strong_components_yields_them_in_closing_order():
+    rng = random.Random(1972)
+    sizes = [0, 1, 2] + [rng.randint(1, 14) for _ in range(300)]
+    for n in sizes:
+        succ = _random_digraph(rng, n)
+        got = list(iter_strong_components(succ))
+        assert got == strong_components(succ)[1], succ
+        # Every prefix is closed under the edges, so a caller may stop at
+        # any component and has met every component it reaches.
+        met = set()
+        for comp in got:
+            met.update(comp)
+            assert all(w in met for v in comp for w in succ[v]), succ
+
+
+# The stepping the graph layer replaced: one ``tuple(map(step, t))`` per
+# generator, with ``step`` the generator's shifted map's ``__getitem__``.
+# ``search``, ``trace`` and ``tuple_successors`` must match it exactly.
+
+def _reference_steps(gens):
+    return [((0,) + g.map).__getitem__ for g in gens.generators]
+
+
+def reference_tuple_successors(gens):
+    steps = _reference_steps(gens)
+    return lambda t: [tuple(map(step, t)) for step in steps]
+
+
+def reference_search(gens, sources, parent):
+    steps = _reference_steps(gens)
+    queue = deque()
+    for s in sources:
+        for step in steps:
+            t = tuple(map(step, s))
+            if t not in parent:
+                parent[t] = None
+                yield t
+                queue.append(t)
+    while queue:
+        cur = queue.popleft()
+        for step in steps:
+            t = tuple(map(step, cur))
+            if t not in parent:
+                parent[t] = cur
+                yield t
+                queue.append(t)
+
+
+def reference_trace(gens, sources, parent, t):
+    steps = _reference_steps(gens)
+
+    def letter(prev, cur):
+        for c, step in enumerate(steps, start=1):
+            if tuple(map(step, prev)) == cur:
+                return c
+        return None
+
+    word = []
+    while (prev := parent[t]) is not None:
+        word.append(letter(prev, t))
+        t = prev
+    for source in sources:
+        if (c := letter(source, t)) is not None:
+            word.append(c)
+            return source, tuple(reversed(word))
+    raise ValueError("the path does not start at a source")
+
+
+def test_stepping_matches_the_reference_stepping():
+    rng = random.Random(2410)
+    shapes = [(n, d) for n in range(1, 8) for d in range(1, 5)] * 3
+    for n, d in shapes:
+        gens = GeneratorSet.from_maps(
+            [tuple(rng.randint(1, n) for _ in range(n))
+             for _ in range(rng.randint(1, 3))])
+        sources = [tuple(rng.randint(1, n) for _ in range(d))
+                   for _ in range(rng.randint(1, 3))]
+        parent, want_parent = {}, {}
+        got = list(graph.search(gens, sources, parent))
+        assert got == list(reference_search(gens, sources, want_parent))
+        assert list(parent.items()) == list(want_parent.items())
+        for t in got:
+            assert (graph.trace(gens, sources, parent, t)
+                    == reference_trace(gens, sources, want_parent, t))
+        successors = tuple_successors(gens)
+        want_successors = reference_tuple_successors(gens)
+        for t in sources + got:
+            assert successors(t) == want_successors(t), (gens, t)

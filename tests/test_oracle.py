@@ -7,8 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import full_monoid
-from tsprops import oracle
+from conftest import full_monoid, weak_inverse_exponent_check
+from tsprops import graph, oracle
 from tsprops.crosscheck import exhaustive_generator_sets
 from tsprops.core import (
     GeneratorSet,
@@ -31,7 +31,6 @@ from tsprops.oracle import (
     nilpotency_degree,
     right_identity_indices,
     set_powers,
-    weak_inverse_exponent_check,
     zero_index,
 )
 from tsprops.report import Verdict
@@ -501,3 +500,29 @@ def test_regular_block_scan_matches_the_per_element_loop():
         late += witness is not None and table.index_of(
             Transformation(table.degree, tuple(witness["element"]["map"]))) >= 64
     assert late >= 1
+
+
+def test_r_trivial_stops_at_its_first_two_member_component(monkeypatch):
+    # T5's first R-class with two members closes long before Tarjan has
+    # visited its 3 125 elements; the check must stop there, with the
+    # witness that the list of every component gives.
+    table = enumerate_semigroup(full_monoid(5))
+    reads = []
+
+    class CountedRows(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
+
+    tarjan = graph.iter_strong_components
+    monkeypatch.setattr(oracle, "iter_strong_components",
+                        lambda succ: tarjan(CountedRows(succ)))
+    report = definitional_check(table, "r_trivial")
+    assert report.verdict is Verdict.FALSE
+    assert 0 < len(reads) < len(table)
+    s, t = next(comp for comp in
+                graph.strong_components(table.succ.tolist())[1]
+                if len(comp) >= 2)[:2]
+    assert report.witness["left"] == table.describe(s)
+    assert report.witness["right"] == table.describe(t)
+    verify_witness(table.gens, report, table=table)

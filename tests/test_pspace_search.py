@@ -119,6 +119,21 @@ def test_find_functions_replay_equations():
             assert compose(compose(t, s), t) == t
         # an inverse exists iff a regularizer does (take t s t for t regularizing)
         assert (inv is not None) == (reg is not None)
+        # each is the first hit in canonical order
+        elements = list(iter_elements(gens))
+
+        def first(holds):
+            return next(((t, w) for t, w in elements if holds(t)), None)
+
+        def regularizes(t):
+            return compose(compose(s, t), s) == s
+
+        def weakly_inverts(t):
+            return compose(compose(t, s), t) == t
+
+        assert reg == first(regularizes)
+        assert weak == first(weakly_inverts)
+        assert inv == first(lambda t: regularizes(t) and weakly_inverts(t))
 
 
 def test_canonical_weak_inverse_identity_and_exponent():

@@ -14,12 +14,12 @@ from tsprops.reductions import (
     InputDigraph,
     dfa_emptiness_to_nilpotent,
     dfa_emptiness_to_zero,
-    dfa_intersection_nonempty,
     dfa_intersection_to_regular,
     dfa_intersection_to_weak_inverse,
-    dfa_language_nonempty,
     digraph_to_semigroup,
 )
+
+from dfa_judges import dfa_intersection_nonempty, dfa_language_nonempty
 
 
 def dfa_of(n, initial, finals, *letters):
